@@ -24,6 +24,7 @@ import (
 
 	regalloc "repro"
 	"repro/internal/alloc"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/experiments"
 	"repro/internal/irbin"
@@ -316,8 +317,9 @@ func BenchmarkAblationMoveOpt(b *testing.B) {
 	})
 	b.Run("without-moveopt", func(b *testing.B) {
 		benchAllocator(b, bench, func(m *target.Machine) alloc.Allocator {
-			o := experiments.BinpackOptionsNoMoveOpt()
-			return experiments.NewBinpack(m, o)
+			o := core.DefaultOptions()
+			o.MoveOpt = false
+			return core.New(m, o)
 		})
 	})
 }
@@ -331,8 +333,9 @@ func BenchmarkAblationEarlySecondChance(b *testing.B) {
 	})
 	b.Run("without-esc", func(b *testing.B) {
 		benchAllocator(b, bench, func(m *target.Machine) alloc.Allocator {
-			o := experiments.BinpackOptionsNoESC()
-			return experiments.NewBinpack(m, o)
+			o := core.DefaultOptions()
+			o.EarlySecondChance = false
+			return core.New(m, o)
 		})
 	})
 }
@@ -346,8 +349,9 @@ func BenchmarkAblationStrictLinear(b *testing.B) {
 	})
 	b.Run("strict-linear", func(b *testing.B) {
 		benchAllocator(b, bench, func(m *target.Machine) alloc.Allocator {
-			o := experiments.BinpackOptionsStrictLinear()
-			return experiments.NewBinpack(m, o)
+			o := core.DefaultOptions()
+			o.StrictLinear = true
+			return core.New(m, o)
 		})
 	})
 }

@@ -105,12 +105,12 @@ func WithCache(c ResultCache) Option {
 func (e *Engine) Cache() ResultCache { return e.cache }
 
 // configFingerprint renders every engine knob that affects the
-// allocated output. Parallelism and observers are excluded: results
-// are deterministic regardless of the worker count, and observers do
-// not change the output.
+// allocated output. Parallelism and phase profiling are excluded:
+// results are deterministic regardless of the worker count, and
+// profiling only annotates the report.
 func (e *Engine) configFingerprint() string {
-	return fmt.Sprintf("algo=%s binpack=%+v dce=%t peephole=%t fwdstores=%t verify=%t",
-		e.algorithm, e.binpackEff, e.dce, e.peephole, e.forwardStores, e.verify)
+	return fmt.Sprintf("algo=%s fwdstores=%t verify=%t",
+		e.algorithm, e.pipe.ForwardStores, e.pipe.Verify)
 }
 
 // CacheKey computes the content address AllocateCached uses for prog on

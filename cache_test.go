@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/progs"
 )
@@ -41,14 +43,8 @@ func TestCacheKeyDeterminism(t *testing.T) {
 	// key.
 	variants := []Option{
 		WithAlgorithm("linearscan"),
-		WithDCE(false),
-		WithPeephole(false),
+		WithAlgorithm("twopass"),
 		WithForwardStores(true),
-		WithBinpack(func() BinpackOptions {
-			o := DefaultOptions().Binpack
-			o.MoveOpt = false
-			return o
-		}()),
 	}
 	for i, opt := range variants {
 		ve, err := New(m, opt, WithParallelism(1))
@@ -80,17 +76,37 @@ func TestCacheKeyDeterminism(t *testing.T) {
 	}
 }
 
+// countingAllocator wraps binpack and counts the procedures it
+// allocates, so a test can tell whether the pipeline ran.
+type countingAllocator struct {
+	Allocator
+	calls *atomic.Int64
+}
+
+func (c countingAllocator) Allocate(p *Proc) (*Result, error) {
+	c.calls.Add(1)
+	return c.Allocator.Allocate(p)
+}
+
+var (
+	registerCountingOnce sync.Once
+	countingCalls        atomic.Int64
+)
+
 func TestAllocateCachedHitSkipsPipeline(t *testing.T) {
+	registerCountingOnce.Do(func() {
+		if err := Register("cache-counting", func(m *Machine) Allocator {
+			return countingAllocator{Allocator: core.NewDefault(m), calls: &countingCalls}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
 	m := Tiny(6, 4)
-	var events int
-	var mu sync.Mutex
-	eng, err := New(m,
-		WithCache(NewShardedCache(64, 4)),
-		WithObserver(func(Event) { mu.Lock(); events++; mu.Unlock() }),
-	)
+	eng, err := New(m, WithAlgorithm("cache-counting"), WithCache(NewShardedCache(64, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	countingCalls.Store(0)
 	prog := cacheProg(m, 11)
 
 	out1, rep1, err := eng.AllocateCached(context.Background(), prog)
@@ -100,9 +116,9 @@ func TestAllocateCachedHitSkipsPipeline(t *testing.T) {
 	if rep1.Cached {
 		t.Fatal("first allocation reported Cached")
 	}
-	missEvents := events
-	if missEvents == 0 {
-		t.Fatal("miss path fired no observer events")
+	missCalls := countingCalls.Load()
+	if missCalls == 0 {
+		t.Fatal("miss path allocated no procedures")
 	}
 
 	out2, rep2, err := eng.AllocateCached(context.Background(), prog)
@@ -112,8 +128,8 @@ func TestAllocateCachedHitSkipsPipeline(t *testing.T) {
 	if !rep2.Cached {
 		t.Fatal("second allocation not served from cache")
 	}
-	if events != missEvents {
-		t.Fatalf("hit path ran the pipeline: %d observer events after hit, want %d", events, missEvents)
+	if got := countingCalls.Load(); got != missCalls {
+		t.Fatalf("hit path ran the pipeline: %d allocations after hit, want %d", got, missCalls)
 	}
 	// The hit performed zero phase work of its own: the report's phase
 	// stats are the original allocation's, byte-identical.

@@ -46,8 +46,8 @@ type ConformResult struct {
 // succeeded but diverged (errors.As recovers the *Mismatch); a nil
 // ConformResult means the pipeline itself failed. Tests use it to
 // spot-check single programs; the full allocator × machine × profile
-// grid lives in cmd/lsra-conform. The engine's observer hook
-// (WithObserver) sees the per-procedure allocation events as usual.
+// grid lives in cmd/lsra-conform and runs the same alloc.Pipeline the
+// engine does.
 func (e *Engine) Conform(ctx context.Context, prog *Program, input []byte) (*ConformResult, error) {
 	allocated, rep, err := e.AllocateProgram(ctx, prog)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/progs"
 )
@@ -72,7 +73,7 @@ func TestEngineConformDetectsDivergence(t *testing.T) {
 	var regErr error
 	registerSkewedOnce.Do(func() {
 		regErr = Register("skewed", func(m *Machine) Allocator {
-			return skewedAllocator{inner: NewAllocator(m, DefaultOptions())}
+			return skewedAllocator{inner: core.NewDefault(m)}
 		})
 	})
 	if regErr != nil {

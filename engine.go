@@ -8,10 +8,6 @@ import (
 	"time"
 
 	"repro/internal/alloc"
-	"repro/internal/core"
-	"repro/internal/ir"
-	"repro/internal/opt"
-	"repro/internal/verify"
 )
 
 // Engine is a reusable, concurrency-safe allocation pipeline for one
@@ -20,24 +16,13 @@ import (
 // instance whose scratch buffers persist across allocations, so the
 // batch hot path stops re-allocating scan state per procedure.
 type Engine struct {
-	mach *Machine
+	mach        *Machine
+	algorithm   string
+	pipe        alloc.Pipeline // the §3 pass ordering, configured by the options
+	parallelism int
+	cache       ResultCache
 
-	algorithm     string
-	binpack       BinpackOptions
-	binpackSet    bool
-	binpackEff    BinpackOptions // effective options (cache fingerprint)
-	dce           bool
-	peephole      bool
-	forwardStores bool
-	verify        bool
-	parallelism   int
-	profilePhases bool
-	observer      Observer
-	cache         ResultCache
-
-	factory alloc.Factory
-	pool    sync.Pool // of Allocator instances, one per concurrent worker
-	obsMu   sync.Mutex
+	pool sync.Pool // of Allocator instances, one per concurrent worker
 }
 
 // Option configures an Engine at construction time.
@@ -54,40 +39,11 @@ func WithAlgorithm(name string) Option {
 	}
 }
 
-// WithBinpack tunes the binpacking allocator family. It applies only to
-// the "binpack" and "twopass" algorithms and is ignored by every other;
-// the SecondChance field is forced to match the selected algorithm.
-func WithBinpack(o BinpackOptions) Option {
-	return func(e *Engine) error {
-		e.binpack = o
-		e.binpackSet = true
-		return nil
-	}
-}
-
-// WithDCE toggles dead-code elimination before allocation (§3 pipeline;
-// on by default).
-func WithDCE(on bool) Option {
-	return func(e *Engine) error {
-		e.dce = on
-		return nil
-	}
-}
-
-// WithPeephole toggles the post-allocation peephole pass that deletes
-// collapsed moves (§3 pipeline; on by default).
-func WithPeephole(on bool) Option {
-	return func(e *Engine) error {
-		e.peephole = on
-		return nil
-	}
-}
-
 // WithForwardStores toggles local store-to-load forwarding on the
 // allocated code (the §2.4 follow-on cleanup; off by default).
 func WithForwardStores(on bool) Option {
 	return func(e *Engine) error {
-		e.forwardStores = on
+		e.pipe.ForwardStores = on
 		return nil
 	}
 }
@@ -96,7 +52,7 @@ func WithForwardStores(on bool) Option {
 // (on by default).
 func WithVerify(on bool) Option {
 	return func(e *Engine) error {
-		e.verify = on
+		e.pipe.Verify = on
 		return nil
 	}
 }
@@ -125,37 +81,9 @@ func WithParallelism(n int) Option {
 // per-phase allocation figures are only exact under WithParallelism(1).
 func WithPhaseProfile(on bool) Option {
 	return func(e *Engine) error {
-		e.profilePhases = on
+		e.pipe.ProfileAllocs = on
 		return nil
 	}
-}
-
-// WithObserver installs a hook that receives one Event per procedure as
-// AllocateProgram completes it. Events are delivered serially (the
-// engine holds a lock), but under parallelism they may arrive out of
-// input order; use Event.Index to correlate. The hook must not call
-// back into the engine.
-func WithObserver(fn Observer) Option {
-	return func(e *Engine) error {
-		e.observer = fn
-		return nil
-	}
-}
-
-// Observer receives per-procedure progress events from AllocateProgram.
-type Observer func(Event)
-
-// Event describes one allocated (or failed) procedure.
-type Event struct {
-	// Proc is the procedure name; Index its position in prog.Procs.
-	Proc  string
-	Index int
-	// Stats is the allocation's statistics (zero when Err is set).
-	Stats Stats
-	// Elapsed is the wall time of this procedure's full pipeline.
-	Elapsed time.Duration
-	// Err is the pipeline error, if the procedure failed.
-	Err error
 }
 
 // ProcReport is one procedure's slice of a Report.
@@ -210,10 +138,8 @@ func New(mach *Machine, opts ...Option) (*Engine, error) {
 	}
 	e := &Engine{
 		mach:        mach,
-		algorithm:   SecondChance.Name(),
-		dce:         true,
-		peephole:    true,
-		verify:      true,
+		algorithm:   "binpack",
+		pipe:        alloc.Pipeline{Mach: mach, Verify: true},
 		parallelism: runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
@@ -224,25 +150,13 @@ func New(mach *Machine, opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 	}
-	switch e.algorithm {
-	case "binpack", "twopass":
-		bo := core.DefaultOptions()
-		if e.binpackSet {
-			bo = e.binpack
-		}
-		bo.SecondChance = e.algorithm == "binpack"
-		e.binpackEff = bo
-		e.factory = func(m *Machine) Allocator { return core.New(m, bo) }
-	default:
-		f, ok := alloc.Lookup(e.algorithm)
-		if !ok {
-			return nil, fmt.Errorf("regalloc: unknown algorithm %q (have %v)", e.algorithm, Algorithms())
-		}
-		e.factory = f
+	factory, ok := alloc.Lookup(e.algorithm)
+	if !ok {
+		return nil, fmt.Errorf("regalloc: unknown algorithm %q (have %v)", e.algorithm, Algorithms())
 	}
 	e.pool.New = func() any {
-		a := e.factory(e.mach)
-		if e.profilePhases {
+		a := factory(e.mach)
+		if e.pipe.ProfileAllocs {
 			if pp, ok := a.(alloc.PhaseProfiler); ok {
 				pp.SetPhaseProfile(true)
 			}
@@ -258,67 +172,13 @@ func (e *Engine) Machine() *Machine { return e.mach }
 // Algorithm returns the registry name of the engine's allocator.
 func (e *Engine) Algorithm() string { return e.algorithm }
 
-// AllocateProc runs the configured pipeline on one procedure and
-// returns the rewritten procedure with statistics. The input is not
-// modified: the engine clones it once and drives the allocator through
-// its owned-procedure fast path, so the clone is the only defensive copy
-// on the whole pipeline. Safe for concurrent use.
+// AllocateProc runs the §3 pipeline (alloc.Pipeline) on one procedure
+// with a pooled allocator and returns the rewritten procedure with
+// statistics. The input is not modified. Safe for concurrent use.
 func (e *Engine) AllocateProc(p *Proc) (*Result, error) {
-	tm := alloc.NewTimer(e.profilePhases)
-	var engineStats Stats // phases the engine itself accounts for
-
 	a := e.pool.Get().(Allocator)
-	var res *Result
-	var err error
-	if oa, ok := a.(alloc.OwnedAllocator); ok {
-		in := p.Clone()
-		tm.Mark(&engineStats, alloc.PhaseOther)
-		if e.dce {
-			opt.DeadCodeElim(in)
-			tm.Mark(&engineStats, alloc.PhaseOpt)
-		}
-		res, err = oa.AllocateOwned(in)
-	} else {
-		in := p
-		if e.dce {
-			in = p.Clone()
-			tm.Mark(&engineStats, alloc.PhaseOther)
-			opt.DeadCodeElim(in)
-			tm.Mark(&engineStats, alloc.PhaseOpt)
-		}
-		res, err = a.Allocate(in)
-	}
-	e.pool.Put(a)
-	if err != nil {
-		return nil, err
-	}
-	if res.Stats.Phases.TotalNs() > 0 {
-		tm.Skip() // the allocator timed its own phases
-	} else {
-		// An external allocator with no phase instrumentation of its
-		// own: charge its whole span to the scan phase rather than
-		// dropping it, so PhaseStats shares stay meaningful.
-		tm.Mark(&engineStats, alloc.PhaseScan)
-	}
-	if e.verify {
-		if err := verify.Verify(res.Proc, e.mach); err != nil {
-			return nil, err
-		}
-		tm.Mark(&engineStats, alloc.PhaseVerify)
-	}
-	if e.forwardStores {
-		opt.ForwardStores(res.Proc, e.mach)
-	}
-	if e.peephole {
-		opt.Peephole(res.Proc)
-	}
-	tm.Mark(&engineStats, alloc.PhaseOpt)
-	if err := ir.ValidateAllocated(res.Proc, e.mach); err != nil {
-		return nil, fmt.Errorf("regalloc: invalid allocation for %s: %w", p.Name, err)
-	}
-	tm.Mark(&engineStats, alloc.PhaseOther)
-	res.Stats.Phases.Add(engineStats.Phases)
-	return res, nil
+	defer e.pool.Put(a)
+	return e.pipe.Run(a, p)
 }
 
 // AllocateProgram allocates every procedure of prog over the engine's
@@ -327,8 +187,7 @@ func (e *Engine) AllocateProc(p *Proc) (*Result, error) {
 // and the output program are in prog.Procs order regardless of
 // parallelism, and on failure the error of the earliest failing
 // procedure is returned. Cancelling ctx stops the batch early with
-// ctx's error. The observer hook, if installed, sees every completed
-// procedure.
+// ctx's error.
 func (e *Engine) AllocateProgram(ctx context.Context, prog *Program) (*Program, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -370,15 +229,11 @@ func (e *Engine) AllocateProgram(ctx context.Context, prog *Program) (*Program, 
 		procStart := time.Now()
 		res, err := e.AllocateProc(procs[i])
 		elapsed[i] = time.Since(procStart)
-		ev := Event{Proc: procs[i].Name, Index: i, Elapsed: elapsed[i], Err: err}
-		if err == nil {
-			results[i] = res
-			ev.Stats = res.Stats
-		}
-		e.observe(ev)
 		if err != nil {
 			fail(i, err)
+			return
 		}
+		results[i] = res
 	}
 	if workers == 1 {
 		// Inline fast path: a single worker gains nothing from the pool,
@@ -414,11 +269,7 @@ func (e *Engine) AllocateProgram(ctx context.Context, prog *Program) (*Program, 
 		return nil, nil, err
 	}
 
-	out := ir.NewProgram(prog.MemWords)
-	out.Main = prog.Main
-	for addr, v := range prog.MemInit {
-		out.SetMem(addr, v)
-	}
+	out := alloc.Assemble(prog, results)
 	rep := &Report{
 		Algorithm:   e.algorithm,
 		Machine:     e.mach.Name,
@@ -426,7 +277,6 @@ func (e *Engine) AllocateProgram(ctx context.Context, prog *Program) (*Program, 
 		Procs:       make([]ProcReport, 0, len(procs)),
 	}
 	for i, res := range results {
-		out.AddProc(res.Proc)
 		rep.Procs = append(rep.Procs, ProcReport{Proc: procs[i].Name, Stats: res.Stats, Elapsed: elapsed[i]})
 		rep.Totals.Add(res.Stats)
 	}
@@ -456,15 +306,4 @@ func phaseStats(pt alloc.PhaseTimes) []PhaseStat {
 		stats = append(stats, s)
 	}
 	return stats
-}
-
-// observe delivers one event to the observer hook, serialized so the
-// hook needs no locking of its own.
-func (e *Engine) observe(ev Event) {
-	if e.observer == nil {
-		return
-	}
-	e.obsMu.Lock()
-	defer e.obsMu.Unlock()
-	e.observer(ev)
 }

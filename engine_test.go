@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	regalloc "repro"
+	"repro/internal/alloc"
+	"repro/internal/core"
 	"repro/internal/progs"
 )
 
@@ -53,7 +55,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 	var calls atomic.Int64
 	err := regalloc.Register("test-counting", func(m *regalloc.Machine) regalloc.Allocator {
 		return &countingAllocator{
-			Allocator: regalloc.NewAllocator(m, regalloc.DefaultOptions()),
+			Allocator: core.NewDefault(m),
 			calls:     &calls,
 		}
 	})
@@ -133,67 +135,52 @@ func TestEngineOptionApplication(t *testing.T) {
 		t.Fatal("Machine() does not return the construction machine")
 	}
 
-	// Defaults match the legacy DefaultOptions pipeline byte for byte.
+	// Defaults are the shared §3 pipeline with the verifier on, byte for
+	// byte: the path the conformance grid certifies is the one served.
 	defEng, err := regalloc.New(mach, regalloc.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotProg, _, err := defEng.AllocateProgram(context.Background(), prog)
+	gotProg, rep, err := defEng.AllocateProgram(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantProg, _, err := regalloc.AllocateProgram(prog, mach, regalloc.DefaultOptions())
+	if rep.Algorithm != "binpack" || rep.Machine != mach.Name || rep.Totals.Candidates == 0 {
+		t.Fatalf("report header %q/%q or totals wrong", rep.Algorithm, rep.Machine)
+	}
+	wantProg, _, err := alloc.Pipeline{Mach: mach, Verify: true}.Program(core.NewDefault(mach), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dumpProgram(gotProg, mach) != dumpProgram(wantProg, mach) {
-		t.Fatal("default engine and legacy DefaultOptions pipeline disagree")
+		t.Fatal("default engine and the shared pipeline disagree")
 	}
 
-	// WithPeephole(false) leaves collapsed moves in place: the dump must
-	// differ from the default pipeline on a workload with parameter
-	// moves.
-	noPeep, err := regalloc.New(mach, regalloc.WithPeephole(false), regalloc.WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	noPeepProg, _, err := noPeep.AllocateProgram(context.Background(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dumpProgram(noPeepProg, mach) == dumpProgram(gotProg, mach) {
-		t.Fatal("WithPeephole(false) had no effect")
-	}
-
-	// WithBinpack is honored: on a spill-heavy workload the strict-linear
-	// variant must match the legacy pipeline configured the same way,
-	// and differ from the engine's default configuration.
+	// WithForwardStores is honored: on a spill-heavy workload the engine
+	// matches the shared pipeline with forwarding on, and differs from
+	// the default configuration.
 	spilly := progs.Named("fpppp").Build(mach, 1)
-	strictOpts := regalloc.DefaultOptions().Binpack
-	strictOpts.StrictLinear = true
-	strictEng, err := regalloc.New(mach, regalloc.WithBinpack(strictOpts), regalloc.WithParallelism(1))
+	fwdEng, err := regalloc.New(mach, regalloc.WithForwardStores(true), regalloc.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	strictProg, _, err := strictEng.AllocateProgram(context.Background(), spilly)
+	fwdProg, _, err := fwdEng.AllocateProgram(context.Background(), spilly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyOpts := regalloc.DefaultOptions()
-	legacyOpts.Binpack = strictOpts
-	legacyStrict, _, err := regalloc.AllocateProgram(spilly, mach, legacyOpts)
+	wantFwd, _, err := alloc.Pipeline{Mach: mach, Verify: true, ForwardStores: true}.Program(core.NewDefault(mach), spilly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dumpProgram(strictProg, mach) != dumpProgram(legacyStrict, mach) {
-		t.Fatal("WithBinpack(strict) disagrees with the equivalent legacy Options")
+	if dumpProgram(fwdProg, mach) != dumpProgram(wantFwd, mach) {
+		t.Fatal("WithForwardStores(true) disagrees with the shared pipeline")
 	}
 	defSpilly, _, err := defEng.AllocateProgram(context.Background(), spilly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dumpProgram(strictProg, mach) == dumpProgram(defSpilly, mach) {
-		t.Fatal("WithBinpack(strict) had no effect")
+	if dumpProgram(fwdProg, mach) == dumpProgram(defSpilly, mach) {
+		t.Fatal("WithForwardStores(true) had no effect")
 	}
 }
 
@@ -319,48 +306,6 @@ func TestVerifierAcceptsWholeLifetimeOnModules(t *testing.T) {
 	}
 }
 
-func TestEngineObserver(t *testing.T) {
-	mach := regalloc.Alpha()
-	prog := progs.Named("li").Build(mach, 1)
-
-	var events atomic.Int64
-	seen := make([]atomic.Bool, len(prog.Procs))
-	eng, err := regalloc.New(mach,
-		regalloc.WithParallelism(4),
-		regalloc.WithObserver(func(ev regalloc.Event) {
-			events.Add(1)
-			if ev.Err != nil {
-				t.Errorf("observer saw error for %s: %v", ev.Proc, ev.Err)
-			}
-			if ev.Index < 0 || ev.Index >= len(prog.Procs) {
-				t.Errorf("observer index %d out of range", ev.Index)
-				return
-			}
-			if seen[ev.Index].Swap(true) {
-				t.Errorf("observer saw index %d twice", ev.Index)
-			}
-			if prog.Procs[ev.Index].Name != ev.Proc {
-				t.Errorf("observer event %d names %q, want %q", ev.Index, ev.Proc, prog.Procs[ev.Index].Name)
-			}
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rep, err := eng.AllocateProgram(context.Background(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := events.Load(); got != int64(len(prog.Procs)) {
-		t.Fatalf("observer saw %d events, want %d", got, len(prog.Procs))
-	}
-	if rep.Totals.Candidates == 0 {
-		t.Fatal("report totals empty")
-	}
-	if rep.Algorithm != "binpack" || rep.Machine != mach.Name {
-		t.Fatalf("report header %q/%q wrong", rep.Algorithm, rep.Machine)
-	}
-}
-
 // TestEnginePhaseStats checks the Report's phase breakdown: every run
 // reports per-phase timings whose sum matches the totals, and
 // WithPhaseProfile annotates phases with allocation counters.
@@ -468,61 +413,25 @@ func TestEngineContextCancellation(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappersStillWork pins the deprecated free functions to the
-// engine results.
-func TestLegacyWrappersStillWork(t *testing.T) {
-	mach := regalloc.Tiny(8, 4)
-	prog := progs.Random(mach, progs.DefaultGen(3))
-	for _, algo := range []regalloc.Algorithm{
-		regalloc.SecondChance, regalloc.TwoPass, regalloc.Coloring, regalloc.LinearScan,
-	} {
-		opts := regalloc.DefaultOptions()
-		opts.Algorithm = algo
-		legacyProg, results, err := regalloc.AllocateProgram(prog, mach, opts)
+// TestAlgorithmNames checks that every built-in allocator is selectable
+// by its registry name and that the engine reports the name back.
+func TestAlgorithmNames(t *testing.T) {
+	for _, name := range []string{"binpack", "twopass", "coloring", "linearscan", "oracle"} {
+		eng, err := regalloc.New(regalloc.Alpha(), regalloc.WithAlgorithm(name))
 		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
+			t.Errorf("engine rejects built-in %q: %v", name, err)
+			continue
 		}
-		if len(results) != len(prog.Procs) {
-			t.Fatalf("%v: %d results for %d procs", algo, len(results), len(prog.Procs))
-		}
-		eng, err := regalloc.New(mach,
-			regalloc.WithAlgorithm(algo.Name()), regalloc.WithParallelism(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		engProg, _, err := eng.AllocateProgram(context.Background(), prog)
-		if err != nil {
-			t.Fatalf("%v engine: %v", algo, err)
-		}
-		if dumpProgram(legacyProg, mach) != dumpProgram(engProg, mach) {
-			t.Fatalf("%v: legacy wrapper and engine disagree", algo)
-		}
-		if a := regalloc.NewAllocator(mach, opts); a == nil {
-			t.Fatalf("%v: NewAllocator returned nil", algo)
-		}
-		res, err := regalloc.AllocateProc(prog.Procs[0], mach, opts)
-		if err != nil || res == nil {
-			t.Fatalf("%v: AllocateProc: %v", algo, err)
+		if got := eng.Algorithm(); got != name {
+			t.Errorf("Algorithm() = %q, want %q", got, name)
 		}
 	}
-}
-
-func TestAlgorithmNames(t *testing.T) {
-	for _, tc := range []struct {
-		a    regalloc.Algorithm
-		want string
-	}{
-		{regalloc.SecondChance, "binpack"},
-		{regalloc.TwoPass, "twopass"},
-		{regalloc.Coloring, "coloring"},
-		{regalloc.LinearScan, "linearscan"},
-	} {
-		if got := tc.a.Name(); got != tc.want {
-			t.Errorf("%v.Name() = %q, want %q", tc.a, got, tc.want)
-		}
-		if _, err := regalloc.New(regalloc.Alpha(), regalloc.WithAlgorithm(tc.a.Name())); err != nil {
-			t.Errorf("engine rejects built-in %q: %v", tc.want, err)
-		}
+	eng, err := regalloc.New(regalloc.Alpha())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Algorithm(); got != "binpack" {
+		t.Errorf("default Algorithm() = %q, want binpack", got)
 	}
 }
 

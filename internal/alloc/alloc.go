@@ -1,6 +1,7 @@
 // Package alloc holds the plumbing shared by every register allocator in
 // this repository: spill frames, result/statistics types, the common
-// Allocator interface, and callee-saved save/restore insertion.
+// Allocator interface, callee-saved save/restore insertion, and the §3
+// pass ordering that drives every allocator (Pipeline).
 package alloc
 
 import (

@@ -119,8 +119,11 @@ func NewTimer(sampleAllocs bool) Timer {
 }
 
 // Mark charges the interval since the previous mark (or construction) to
-// phase ph in st.
+// phase ph in st. Marking a nil Timer does nothing.
 func (t *Timer) Mark(st *Stats, ph Phase) {
+	if t == nil {
+		return
+	}
 	now := time.Now()
 	st.Phases[ph].Ns += now.Sub(t.last).Nanoseconds()
 	t.last = now

@@ -19,9 +19,13 @@ import (
 type topologyAdmin struct {
 	infos atomic.Value // []NodeInfo
 	fail  atomic.Bool  // when set, answer 500 instead
+	polls atomic.Int64 // requests answered so far
 }
 
 func (a *topologyAdmin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	// Counted once the answer is decided, so a caller that sees the
+	// count rise knows which document (or failure) that poll received.
+	defer a.polls.Add(1)
 	if a.fail.Load() {
 		http.Error(w, "admin unavailable", http.StatusInternalServerError)
 		return
@@ -126,13 +130,23 @@ func TestClientFailoverTriggersRefresh(t *testing.T) {
 	})
 	defer cl.Close()
 
+	// Wait out the asynchronous priming poll before the admin recovers:
+	// if it landed after fail is cleared, it would load the live
+	// topology before any failover happened.
+	deadline := time.Now().Add(5 * time.Second)
+	for admin.polls.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("client never sent its priming topology poll")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	admin.set(c.URLs())
 	admin.fail.Store(false)
 	job := testJobs(t, 1)[0]
 	req := serve.AllocateRequest{Machine: testMachine, Program: job.Text}
 	// The first request fails against the dead table but triggers the
 	// refresh; once the poller lands the live topology, requests serve.
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for {
 		if _, _, err := cl.Allocate(context.Background(), req); err == nil {
 			break

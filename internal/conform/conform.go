@@ -17,10 +17,16 @@ import (
 	"fmt"
 
 	"repro/internal/alloc"
-	"repro/internal/experiments"
 	"repro/internal/ir"
 	"repro/internal/target"
 	"repro/internal/vm"
+
+	// Registry side effects: the grid's default allocator axis is every
+	// registered allocator ("oracle" registers through quality.go's
+	// import).
+	_ "repro/internal/coloring"
+	_ "repro/internal/core"
+	_ "repro/internal/linearscan"
 )
 
 // Mismatch kinds, ordered roughly by how early in the pipeline the
@@ -141,17 +147,17 @@ func Exec(ref, allocated *ir.Program, mach *target.Machine, input []byte, maxSte
 	return refRes, gotRes, Diff(refRes, gotRes)
 }
 
-// Allocate runs the paper's pipeline — experiments.PipelineChecked with
-// both oracles on (DCE, allocate, verify, peephole, structural
-// validation), so the harness certifies exactly the pass ordering the
-// benchmarks measure — over every procedure of prog with a fresh
-// instance of the named allocator. The input program is not modified.
+// Allocate runs the paper's pipeline — alloc.Pipeline with the verifier
+// on, the engine's default configuration, so the harness certifies
+// exactly the path the engine serves — over every procedure of prog with
+// a fresh instance of the named allocator. The input program is not
+// modified.
 func Allocate(prog *ir.Program, mach *target.Machine, allocator string) (*ir.Program, alloc.Stats, error) {
 	f, ok := alloc.Lookup(allocator)
 	if !ok {
 		return nil, alloc.Stats{}, fmt.Errorf("conform: unknown allocator %q (have %v)", allocator, alloc.Names())
 	}
-	return experiments.PipelineChecked(prog, mach, f(mach), experiments.PipelineChecks{Verify: true, Validate: true})
+	return alloc.Pipeline{Mach: mach, Verify: true}.Program(f(mach), prog)
 }
 
 // Check allocates prog under the named allocator and differentially

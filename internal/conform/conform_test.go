@@ -55,6 +55,56 @@ func TestFullGrid(t *testing.T) {
 	}
 }
 
+// TestForwardStoresGrid puts the §2.4 store-to-load forwarding cleanup
+// (regalloc.WithForwardStores) under conformance: every allocator ×
+// machine × profile program of the grid, over two seeds, runs through
+// the shared pipeline with forwarding on and must execute exactly like
+// the unallocated original. Forwarding must also actually fire: some
+// cell has to execute fewer instructions than the default pipeline's
+// allocation of the same program.
+func TestForwardStoresGrid(t *testing.T) {
+	var cells, shorter int
+	for _, c := range DefaultGrid(1, 2).Cells() {
+		mach, err := machineFor(c.Machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := progs.ProfileGen(c.Profile, c.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, ok := alloc.Lookup(c.Allocator)
+		if !ok {
+			t.Fatalf("%s: allocator not registered", c)
+		}
+		prog := progs.Random(mach, cfg)
+		pl := alloc.Pipeline{Mach: mach, Verify: true, ForwardStores: true}
+		allocated, _, err := pl.Program(f(mach), prog)
+		if err != nil {
+			t.Errorf("%s: %v", c, err)
+			continue
+		}
+		_, got, mm := Exec(prog, allocated, mach, defaultInput, defaultMaxSteps)
+		if mm != nil {
+			t.Errorf("%s: %s: %s", c, mm.Kind, mm.Detail)
+			continue
+		}
+		_, plain, mm := Check(prog, mach, c.Allocator, defaultInput, defaultMaxSteps)
+		if mm != nil {
+			t.Errorf("%s without forwarding: %s: %s", c, mm.Kind, mm.Detail)
+			continue
+		}
+		cells++
+		if got.Counters.Total < plain.Counters.Total {
+			shorter++
+		}
+	}
+	if cells == 0 || shorter == 0 {
+		t.Fatalf("forwarding shortened %d of %d conforming cells; want at least one", shorter, cells)
+	}
+	t.Logf("forwarding shortened %d of %d cells", shorter, cells)
+}
+
 // TestCheckCellReportsCounters spot-checks a single high-pressure cell's
 // dynamic accounting.
 func TestCheckCellReportsCounters(t *testing.T) {

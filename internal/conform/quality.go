@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/alloc"
-	"repro/internal/experiments"
 	"repro/internal/ir"
 	"repro/internal/oracle"
 	"repro/internal/progs"
@@ -424,8 +423,7 @@ func checkQualityPoint(pt QualityPoint, stmts int, allocators []string, o *Quali
 			a := oracle.New(mach)
 			a.SetLimits(o.limits())
 			a.SetProfile(pf)
-			allocated, _, err = experiments.PipelineChecked(prog, mach, a,
-				experiments.PipelineChecks{Verify: true, Validate: true})
+			allocated, _, err = alloc.Pipeline{Mach: mach, Verify: true}.Program(a, prog)
 		} else {
 			allocated, _, err = Allocate(prog, mach, name)
 		}

@@ -16,72 +16,18 @@ import (
 	_ "repro/internal/coloring"
 	"repro/internal/ir"
 	_ "repro/internal/linearscan"
-	"repro/internal/opt"
 	"repro/internal/progs"
 	"repro/internal/target"
-	"repro/internal/verify"
 	"repro/internal/vm"
 )
 
-// Pipeline applies the paper's pass ordering around one allocator: DCE,
-// allocate, peephole. It returns the allocated program and aggregate
-// allocation statistics.
-func Pipeline(prog *ir.Program, mach *target.Machine, a alloc.Allocator) (*ir.Program, alloc.Stats, error) {
-	return PipelineChecked(prog, mach, a, PipelineChecks{})
-}
-
-// PipelineChecks selects the correctness oracles PipelineChecked runs
-// around the paper's pass ordering. The zero value runs none (the
-// benchmark configuration, where oracle cost would pollute timings).
-type PipelineChecks struct {
-	// Verify runs the symbolic allocation verifier on each procedure
-	// right after allocation.
-	Verify bool
-	// Validate runs ir.ValidateAllocated on each procedure after the
-	// peephole pass.
-	Validate bool
-}
-
-// PipelineChecked is Pipeline with optional per-procedure oracles. It
-// is THE pass ordering of the reproduction — the conformance harness
-// certifies exactly the pipeline the benchmarks measure by sharing this
-// function.
-func PipelineChecked(prog *ir.Program, mach *target.Machine, a alloc.Allocator, checks PipelineChecks) (*ir.Program, alloc.Stats, error) {
-	out := ir.NewProgram(prog.MemWords)
-	out.Main = prog.Main
-	for addr, v := range prog.MemInit {
-		out.SetMem(addr, v)
-	}
-	var agg alloc.Stats
-	for _, p := range prog.Procs {
-		in := p.Clone()
-		opt.DeadCodeElim(in)
-		res, err := a.Allocate(in)
-		if err != nil {
-			return nil, agg, fmt.Errorf("%s: %s: %w", a.Name(), p.Name, err)
-		}
-		if checks.Verify {
-			if err := verify.Verify(res.Proc, mach); err != nil {
-				return nil, agg, fmt.Errorf("%s: %s: verifier: %w", a.Name(), p.Name, err)
-			}
-		}
-		opt.Peephole(res.Proc)
-		if checks.Validate {
-			if err := ir.ValidateAllocated(res.Proc, mach); err != nil {
-				return nil, agg, fmt.Errorf("%s: %s: invalid output: %w", a.Name(), p.Name, err)
-			}
-		}
-		agg.Add(res.Stats)
-		out.AddProc(res.Proc)
-	}
-	return out, agg, nil
-}
-
 // RunBench builds one suite benchmark at the given scale, allocates it
-// with the allocator, executes it, and returns the dynamic counters.
+// with the allocator through the §3 pipeline (alloc.Pipeline, verifier
+// off: oracle cost would pollute timings), executes it, and returns the
+// dynamic counters.
 func RunBench(b *progs.Benchmark, mach *target.Machine, scale int, a alloc.Allocator) (vm.Counters, alloc.Stats, error) {
 	prog := b.Build(mach, scale)
-	allocd, stats, err := Pipeline(prog, mach, a)
+	allocd, stats, err := alloc.Pipeline{Mach: mach}.Program(a, prog)
 	if err != nil {
 		return vm.Counters{}, stats, err
 	}
@@ -482,31 +428,4 @@ func pct(a, b int64) float64 {
 		return 0
 	}
 	return 100 * float64(a) / float64(b)
-}
-
-// NewBinpack builds a binpacking allocator with explicit options (used by
-// the ablation benchmarks).
-func NewBinpack(mach *target.Machine, o core.Options) alloc.Allocator { return core.New(mach, o) }
-
-// BinpackOptionsNoMoveOpt is the paper configuration minus §2.5 move
-// coalescing.
-func BinpackOptionsNoMoveOpt() core.Options {
-	o := core.DefaultOptions()
-	o.MoveOpt = false
-	return o
-}
-
-// BinpackOptionsNoESC is the paper configuration minus §2.5 early second
-// chance.
-func BinpackOptionsNoESC() core.Options {
-	o := core.DefaultOptions()
-	o.EarlySecondChance = false
-	return o
-}
-
-// BinpackOptionsStrictLinear is the §2.6 strictly-linear configuration.
-func BinpackOptionsStrictLinear() core.Options {
-	o := core.DefaultOptions()
-	o.StrictLinear = true
-	return o
 }

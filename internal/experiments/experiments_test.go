@@ -44,12 +44,12 @@ func TestStatsAddAggregation(t *testing.T) {
 	}
 }
 
-// TestPipelineAggregatesPerProcStats checks Pipeline's aggregate equals
-// the sum of per-procedure allocations.
+// TestPipelineAggregatesPerProcStats checks that the aggregate the
+// harness reads from the §3 pipeline sums its per-procedure allocations.
 func TestPipelineAggregatesPerProcStats(t *testing.T) {
 	mach := target.Tiny(6, 4)
 	prog := progs.Random(mach, progs.DefaultGen(5))
-	_, agg, err := Pipeline(prog, mach, Binpack(mach))
+	_, agg, err := alloc.Pipeline{Mach: mach}.Program(Binpack(mach), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
-	"repro/internal/experiments"
 	"repro/internal/ir"
 	"repro/internal/lifetime"
 	"repro/internal/progs"
@@ -177,8 +176,7 @@ func TestPredictedCostMatchesVM(t *testing.T) {
 
 			a := New(mach)
 			a.SetProfile(pf)
-			allocd, _, err := experiments.PipelineChecked(prog, mach, a,
-				experiments.PipelineChecks{Verify: true, Validate: true})
+			allocd, _, err := alloc.Pipeline{Mach: mach, Verify: true}.Program(a, prog)
 			if err != nil {
 				t.Fatalf("%s seed %d: pipeline: %v", mach.Name, seed, err)
 			}
@@ -219,8 +217,7 @@ func TestRegistryOracleConforms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			allocd, _, err := experiments.PipelineChecked(prog, mach, f(mach),
-				experiments.PipelineChecks{Verify: true, Validate: true})
+			allocd, _, err := alloc.Pipeline{Mach: mach, Verify: true}.Program(f(mach), prog)
 			if err != nil {
 				t.Fatalf("%s stmts %d: %v", mach.Name, stmts, err)
 			}

@@ -1,8 +1,8 @@
 package oracle
 
 import (
+	"repro/internal/alloc"
 	"repro/internal/ir"
-	"repro/internal/opt"
 	"repro/internal/target"
 	"repro/internal/vm"
 )
@@ -57,17 +57,16 @@ func (pf *Profile) FreqFunc(proc string) func(*ir.Block) int64 {
 }
 
 // OptimalCost computes the proven minimum total dynamic spill overhead
-// of prog under the profile, replicating the checked pipeline's pass
-// ordering (clone, then dead-code elimination, then allocation) per
-// procedure so the optimum is commensurable with what
-// experiments.PipelineChecked-allocated programs actually execute.
+// of prog under the profile, planning each procedure as the pipeline's
+// pre-allocation step (alloc.Prepare: clone, then dead-code elimination)
+// leaves it, so the optimum is commensurable with what
+// alloc.Pipeline-allocated programs actually execute.
 // proven is false if any procedure's search exceeded lim; the returned
 // cost is then only an upper bound (the best incumbent found).
 func OptimalCost(prog *ir.Program, mach *target.Machine, pf *Profile, lim Limits) (cost int64, proven bool) {
 	proven = true
 	for _, p := range prog.Procs {
-		in := p.Clone()
-		opt.DeadCodeElim(in)
+		in := alloc.Prepare(p, nil, nil)
 		plan := planProc(in, mach, pf.FreqFunc(p.Name), lim)
 		cost += plan.Cost
 		if !plan.Proven {

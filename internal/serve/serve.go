@@ -534,7 +534,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // that warmth.
 func (s *Server) engine(machine, algorithm string) (*regalloc.Engine, *regalloc.Machine, error) {
 	if algorithm == "" {
-		algorithm = regalloc.SecondChance.Name()
+		algorithm = "binpack"
 	}
 	if len(s.cfg.Algorithms) > 0 {
 		ok := false

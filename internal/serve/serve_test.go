@@ -287,7 +287,10 @@ func TestBackpressure429(t *testing.T) {
 }
 
 func TestGracefulDrain(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+	// Admission holds all 16 requests (2 workers + 16 queue slots), so a
+	// request can only finish or be refused as draining: a 429 from a
+	// full queue would say nothing about the drain.
+	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 16})
 	text := workloadText(t, "alpha", 9)
 
 	// In-flight traffic while we shut down: every request must either

@@ -25,26 +25,23 @@
 //	out, err := regalloc.Execute(allocated, mach, input)
 //
 // Allocators are pluggable: Register adds a named factory and
-// WithAlgorithm selects it; Algorithms lists what is available. The
-// free functions AllocateProc, AllocateProgram and NewAllocator remain
-// as deprecated wrappers over a throwaway Engine.
+// WithAlgorithm selects it; Algorithms lists what is available.
 package regalloc
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/alloc"
-	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/target"
 	"repro/internal/verify"
 	"repro/internal/vm"
 
 	// Imported for their registry side effects: the built-in allocators
-	// self-register under "coloring", "linearscan" and "oracle"
-	// ("binpack" and "twopass" ride in with the core import above).
+	// self-register under "binpack" and "twopass" (core), "coloring",
+	// "linearscan" and "oracle".
 	_ "repro/internal/coloring"
+	_ "repro/internal/core"
 	_ "repro/internal/linearscan"
 	_ "repro/internal/oracle"
 )
@@ -97,11 +94,6 @@ type (
 	// enables per-phase allocation sampling (WithPhaseProfile).
 	PhaseProfiler = alloc.PhaseProfiler
 
-	// BinpackOptions configures the binpacking allocator (the paper's
-	// §2 knobs: move optimization, early second chance, strict-linear
-	// consistency, eviction heuristic).
-	BinpackOptions = core.Options
-
 	// ExecResult is a VM execution outcome.
 	ExecResult = vm.Result
 	// ExecConfig configures VM execution.
@@ -144,175 +136,6 @@ func MachineNames() []string { return target.PresetNames() }
 
 // NewBuilder returns a program builder for a machine.
 func NewBuilder(m *Machine, memWords int) *Builder { return ir.NewBuilder(m, memWords) }
-
-// Algorithm selects a register allocator.
-type Algorithm int
-
-const (
-	// SecondChance is the paper's contribution: second-chance
-	// binpacking (§2).
-	SecondChance Algorithm = iota
-	// TwoPass is traditional binpacking: whole lifetimes in a register
-	// or in memory (§3.1 ablation).
-	TwoPass
-	// Coloring is George–Appel iterated register coalescing.
-	Coloring
-	// LinearScan is the Poletto-style allocator (§4 related work).
-	LinearScan
-)
-
-// Name returns the registry name of the built-in algorithm, as accepted
-// by WithAlgorithm ("binpack", "twopass", "coloring", "linearscan").
-func (a Algorithm) Name() string {
-	switch a {
-	case SecondChance:
-		return "binpack"
-	case TwoPass:
-		return "twopass"
-	case Coloring:
-		return "coloring"
-	case LinearScan:
-		return "linearscan"
-	}
-	return fmt.Sprintf("algorithm-%d", int(a))
-}
-
-// String returns the algorithm's human-readable description (Name is
-// the registry identifier).
-func (a Algorithm) String() string {
-	switch a {
-	case SecondChance:
-		return "second-chance binpacking"
-	case TwoPass:
-		return "two-pass binpacking"
-	case Coloring:
-		return "graph coloring"
-	case LinearScan:
-		return "linear scan (Poletto)"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
-
-// Options configure the allocation pipeline of the legacy free
-// functions.
-//
-// Deprecated: construct an Engine with New and functional options
-// instead; Options remains for the thin compatibility wrappers.
-type Options struct {
-	Algorithm Algorithm
-	// Binpack tunes the binpacking allocator; ignored by the others.
-	// The zero value is replaced by the paper's defaults.
-	Binpack BinpackOptions
-	// DCE runs dead-code elimination before allocation (§3 pipeline).
-	DCE bool
-	// Peephole deletes collapsed moves after allocation (§3 pipeline).
-	Peephole bool
-	// ForwardStores additionally runs local store-to-load forwarding on
-	// the allocated code (the §2.4 follow-on cleanup; off by default).
-	ForwardStores bool
-	// Verify runs the symbolic allocation verifier on every result.
-	Verify bool
-}
-
-// DefaultOptions mirrors the paper's experimental pipeline with the
-// second-chance allocator and verification enabled.
-//
-// Deprecated: an Engine constructed with New and no options is the
-// equivalent configuration.
-func DefaultOptions() Options {
-	return Options{
-		Algorithm: SecondChance,
-		Binpack:   core.DefaultOptions(),
-		DCE:       true,
-		Peephole:  true,
-		Verify:    true,
-	}
-}
-
-// engineFromOptions bridges the legacy Options struct onto an Engine.
-// Unknown Algorithm values select second-chance binpacking, as the old
-// switch did.
-func engineFromOptions(m *Machine, o Options) (*Engine, error) {
-	algo := o.Algorithm
-	switch algo {
-	case SecondChance, TwoPass, Coloring, LinearScan:
-	default:
-		algo = SecondChance
-	}
-	opts := []Option{
-		WithAlgorithm(algo.Name()),
-		WithDCE(o.DCE),
-		WithPeephole(o.Peephole),
-		WithForwardStores(o.ForwardStores),
-		WithVerify(o.Verify),
-		WithParallelism(1),
-	}
-	// The legacy rule: a zero Binpack means "the paper's defaults" for
-	// second-chance, but is taken literally (a bare two-pass) for the
-	// two-pass ablation.
-	if algo == TwoPass || (algo == SecondChance && o.Binpack.SecondChance) {
-		opts = append(opts, WithBinpack(o.Binpack))
-	}
-	return New(m, opts...)
-}
-
-// NewAllocator returns the allocator an Options selects. The returned
-// allocator keeps per-instance scratch buffers: it must not run
-// concurrent Allocate calls (use one instance per goroutine, which is
-// what the Engine's worker pool does).
-//
-// Deprecated: use New with WithAlgorithm; the Engine pools allocator
-// instances and reuses their scratch state.
-func NewAllocator(m *Machine, o Options) Allocator {
-	e, err := engineFromOptions(m, o)
-	if err != nil {
-		// Unreachable: engineFromOptions normalizes the algorithm.
-		panic(err)
-	}
-	return e.factory(m)
-}
-
-// AllocateProc runs the full pipeline on one procedure and returns the
-// rewritten procedure with statistics. The input is not modified.
-//
-// Deprecated: construct an Engine with New and call its AllocateProc;
-// a fresh Engine per call re-allocates the scratch state this wrapper
-// cannot reuse.
-func AllocateProc(p *Proc, m *Machine, o Options) (*Result, error) {
-	e, err := engineFromOptions(m, o)
-	if err != nil {
-		return nil, err
-	}
-	return e.AllocateProc(p)
-}
-
-// AllocateProgram allocates every procedure of prog and returns the
-// allocated program plus per-procedure results (in prog.Procs order).
-//
-// Deprecated: construct an Engine with New and call its
-// AllocateProgram, which adds bounded parallelism, context
-// cancellation and an aggregate Report.
-func AllocateProgram(prog *Program, m *Machine, o Options) (*Program, []*Result, error) {
-	e, err := engineFromOptions(m, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := ir.NewProgram(prog.MemWords)
-	out.Main = prog.Main
-	for addr, v := range prog.MemInit {
-		out.SetMem(addr, v)
-	}
-	var results []*Result
-	for _, p := range prog.Procs {
-		res, err := e.AllocateProc(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		results = append(results, res)
-		out.AddProc(res.Proc)
-	}
-	return out, results, nil
-}
 
 // Execute runs a program (allocated or not) on the VM.
 func Execute(prog *Program, m *Machine, input []byte) (*ExecResult, error) {
