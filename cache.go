@@ -11,26 +11,30 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ir"
+	"repro/internal/irbin"
 )
 
 // CacheKey content-addresses one allocation request: it is a
 // cryptographic digest over the program's canonical textual form (plus
 // its initial memory image), the machine's convention-complete spec
 // (target.Machine.Spec), and the engine configuration that affects the
-// output (algorithm, binpacking options, pass toggles). Two requests
+// output (algorithm and pass toggles). Two requests
 // share a key exactly when the engine would produce the same allocated
 // program for both, so a cached result can be substituted for a fresh
 // allocation without re-running any pipeline phase.
 type CacheKey string
 
 // CachedAllocation is one immutable cache entry: the allocated program
-// and the report of the allocation that produced it. Entries are shared
-// between all cache readers and must never be mutated; the engine
-// clones the program (and copies the report) on every hit, so callers
-// always own what AllocateCached returns.
+// as its canonical internal/irbin frame, and the report of the
+// allocation that produced it. The frame holds no pointers, so a large
+// cache costs the garbage collector nothing to scan, and it is the
+// same bytes the disk tier and cluster replication carry. Entries are
+// shared between all cache readers and must never be mutated; the
+// engine decodes a fresh program (and copies the report) on every hit,
+// so callers always own what AllocateCached returns.
 type CachedAllocation struct {
-	Program *Program
-	Report  *Report
+	Frame  []byte
+	Report *Report
 }
 
 // ResultCache stores finished allocations by content address. The
@@ -134,13 +138,15 @@ func (e *Engine) CacheKey(prog *Program) CacheKey {
 }
 
 // AllocateCached is AllocateProgram behind the engine's result cache:
-// on a hit the cached allocation is returned — cloned, so the caller
-// owns the result outright and cannot corrupt the shared entry — with
-// Report.Cached set and zero pipeline work performed; on a miss the
-// program is allocated as usual and the result is stored before being
-// returned. Without an installed cache it is exactly AllocateProgram.
-// Safe for concurrent use; concurrent misses on the same key allocate
-// redundantly but harmlessly (results are deterministic).
+// on a hit the cached allocation is returned — decoded afresh, so the
+// caller owns the result outright and cannot corrupt the shared entry —
+// with Report.Cached set and zero pipeline work performed; on a miss
+// the program is allocated as usual and the result is stored before
+// being returned. An entry whose frame does not decode is a miss, and
+// the fresh result replaces it. Without an installed cache it is
+// exactly AllocateProgram. Safe for concurrent use; concurrent misses
+// on the same key allocate redundantly but harmlessly (results are
+// deterministic).
 func (e *Engine) AllocateCached(ctx context.Context, prog *Program) (*Program, *Report, error) {
 	out, rep, _, err := e.AllocateCachedKey(ctx, prog)
 	return out, rep, err
@@ -158,9 +164,13 @@ func (e *Engine) AllocateCachedKey(ctx context.Context, prog *Program) (*Program
 		return out, rep, key, err
 	}
 	if ent, ok := e.cache.Get(key); ok {
-		rep := ent.Report.copy()
-		rep.Cached = true
-		return ent.Program.Clone(), rep, key, nil
+		// The decoded program's strings alias the frame, which is never
+		// mutated; everything else is freshly built for the caller.
+		if out, err := irbin.DecodeProgram(ent.Frame); err == nil {
+			rep := ent.Report.copy()
+			rep.Cached = true
+			return out, rep, key, nil
+		}
 	}
 	out, rep, err := e.AllocateProgram(ctx, prog)
 	if err != nil {
@@ -168,7 +178,7 @@ func (e *Engine) AllocateCachedKey(ctx context.Context, prog *Program) (*Program
 	}
 	// Store private copies: the caller owns out and rep and is free to
 	// mutate both after we return.
-	e.cache.Put(key, &CachedAllocation{Program: out.Clone(), Report: rep.copy()})
+	e.cache.Put(key, &CachedAllocation{Frame: irbin.EncodeProgram(out), Report: rep.copy()})
 	return out, rep, key, nil
 }
 

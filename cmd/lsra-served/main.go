@@ -48,7 +48,6 @@ func main() {
 		persist        = flag.String("persist", "", "directory for the disk-backed cache tier (empty = memory only)")
 		persistEntries = flag.Int("persist-entries", 0, "disk tier capacity in entries (0 = default)")
 		persistCost    = flag.Float64("persist-cost-factor", 0, "admission bar: allocation must cost this multiple of serialization (0 = default, negative admits all)")
-		persistBinary  = flag.Bool("persist-binary", false, "store disk-tier entries in the binary wire form (reads sniff per entry)")
 	)
 	flag.Parse()
 
@@ -65,7 +64,6 @@ func main() {
 		PersistDir:        *persist,
 		PersistEntries:    *persistEntries,
 		PersistCostFactor: *persistCost,
-		PersistBinary:     *persistBinary,
 	}
 	if *algos != "" {
 		cfg.Algorithms = strings.Split(*algos, ",")

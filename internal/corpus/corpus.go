@@ -30,8 +30,10 @@ import (
 // Magic opens every corpus file.
 const Magic = "LSCO"
 
-// Version is the current file-format version.
-const Version = 1
+// Version is the current file-format version. Version 2 holds irbin
+// version 2 frames; Open refuses version 1 files, whose frames the
+// codec no longer decodes.
+const Version = 2
 
 // headerSize is the fixed portion before the meta string.
 const headerSize = 32

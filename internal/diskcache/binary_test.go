@@ -6,99 +6,55 @@ import (
 
 	regalloc "repro"
 	"repro/internal/ir"
+	"repro/internal/irbin"
 )
 
+// TestBinaryWireRoundTrip requires an allocated program to come back
+// from the wire form printing exactly as the engine's output printed,
+// loop-depth annotations included.
 func TestBinaryWireRoundTrip(t *testing.T) {
-	key, entry := testEntry(t, 19)
-	data, err := EncodeBinary(key, entry)
+	key, out, rep := allocate(t, 19)
+	mach := regalloc.Tiny(6, 4)
+	data, err := Encode(key, &regalloc.CachedAllocation{Frame: irbin.EncodeProgram(out), Report: rep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(data), binaryMagic) {
-		t.Fatalf("binary entry does not open with %q", binaryMagic)
+	if !strings.HasPrefix(string(data), magic) {
+		t.Fatalf("entry does not open with %q", magic)
 	}
-	gotKey, got, err := Decode(data)
+	_, got, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotKey != key {
-		t.Errorf("key %s round-tripped to %s", key, gotKey)
-	}
-	if got.Report.Algorithm != entry.Report.Algorithm {
-		t.Errorf("report algorithm %q → %q", entry.Report.Algorithm, got.Report.Algorithm)
-	}
-	if got.Program.MemInit[3] != 42 {
-		t.Errorf("MemInit lost: %v", got.Program.MemInit)
-	}
-	// Program equality at the printed level against the JSON form: both
-	// wire encodings must materialize the same program.
-	jsonData, err := Encode(key, entry)
+	prog, err := irbin.DecodeProgram(got.Frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fromJSON, err := Decode(jsonData)
-	if err != nil {
-		t.Fatal(err)
+	var want, have strings.Builder
+	(&ir.Printer{Mach: mach}).WriteProgram(&want, out)
+	(&ir.Printer{Mach: mach}).WriteProgram(&have, prog)
+	if !strings.Contains(want.String(), "; depth=") {
+		t.Fatal("test program has no loop blocks")
 	}
-	var a, b strings.Builder
-	(&ir.Printer{}).WriteProgram(&a, got.Program)
-	(&ir.Printer{}).WriteProgram(&b, fromJSON.Program)
-	if a.String() != b.String() {
-		t.Errorf("binary and JSON wire forms materialize different programs:\nbinary:\n%s\njson:\n%s", a.String(), b.String())
+	if want.String() != have.String() {
+		t.Errorf("wire form changed the allocated program:\nwant:\n%s\nhave:\n%s", want.String(), have.String())
 	}
 }
 
 func TestBinaryDecodeRejectsGarbage(t *testing.T) {
 	key, entry := testEntry(t, 23)
-	data, err := EncodeBinary(key, entry)
+	data, err := Encode(key, entry)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range [][]byte{
-		[]byte(binaryMagic),
-		[]byte(binaryMagic + "\x05abc"),                 // key overruns buffer
-		data[:len(data)/2],                              // truncated mid-frame or mid-report
+		[]byte(magic),
+		[]byte(magic + "\x05abc"), // key overruns buffer
+		data[:len(data)/2],        // truncated mid-frame or mid-report
 		append(append([]byte{}, data...), "garbage"...), // trailing junk breaks the report JSON
 	} {
 		if _, _, err := Decode(bad); err == nil {
 			t.Errorf("Decode(%q...) succeeded", bad[:min(len(bad), 12)])
-		}
-	}
-}
-
-// TestBinaryTierMixedFormats flips Config.Binary on a directory already
-// holding JSON entries: both generations must stay readable, and new
-// writes must come out binary.
-func TestBinaryTierMixedFormats(t *testing.T) {
-	dir := t.TempDir()
-	keyJSON, entryJSON := testEntry(t, 29)
-	c, err := Open(Config{Dir: dir, CostFactor: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Put(keyJSON, entryJSON)
-
-	c2, err := Open(Config{Dir: dir, CostFactor: -1, Binary: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c2.Get(keyJSON); !ok {
-		t.Fatal("binary-configured tier lost a JSON entry")
-	}
-	keyBin, entryBin := testEntry(t, 31)
-	c2.Put(keyBin, entryBin)
-	if _, ok := c2.Get(keyBin); !ok {
-		t.Fatal("binary entry unreadable after Put")
-	}
-
-	// And back again: a JSON-configured reopen still reads both.
-	c3, err := Open(Config{Dir: dir, CostFactor: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{string(keyJSON), string(keyBin)} {
-		if _, ok := c3.Get(regalloc.CacheKey(k)); !ok {
-			t.Fatalf("entry %s unreadable after format flip-flop", k)
 		}
 	}
 }

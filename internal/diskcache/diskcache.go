@@ -29,13 +29,6 @@ type Config struct {
 	// DefaultCostFactor; negative admits everything (useful in tests
 	// and for replication-seeded nodes).
 	CostFactor float64
-	// Binary selects the binary entry encoding (EncodeBinary) for new
-	// writes: the program travels as an internal/irbin frame instead of
-	// printed text, so reads skip the text parser. Decoding sniffs the
-	// format per entry, so flipping this flag never invalidates an
-	// existing directory — old entries are simply rewritten in the new
-	// form as they are re-admitted.
-	Binary bool
 }
 
 // DefaultMaxEntries bounds the tier when Config.MaxEntries is 0.
@@ -205,13 +198,7 @@ func (c *Cache) Get(key regalloc.CacheKey) (*regalloc.CachedAllocation, bool) {
 // allocation work clears CostFactor× that serialization cost.
 func (c *Cache) Put(key regalloc.CacheKey, e *regalloc.CachedAllocation) {
 	start := time.Now()
-	var data []byte
-	var err error
-	if c.cfg.Binary {
-		data, err = EncodeBinary(key, e)
-	} else {
-		data, err = Encode(key, e)
-	}
+	data, err := Encode(key, e)
 	serNs := time.Since(start).Nanoseconds()
 	if err != nil {
 		return

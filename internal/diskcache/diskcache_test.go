@@ -1,34 +1,44 @@
 package diskcache
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	regalloc "repro"
+	"repro/internal/irbin"
 	"repro/internal/progs"
 )
 
-// testEntry runs one real allocation and returns its content address
-// and cache entry, exactly as the engine would hand them to a cache.
-func testEntry(t *testing.T, seed int64) (regalloc.CacheKey, *regalloc.CachedAllocation) {
+// allocate runs one real allocation on a small machine and returns the
+// program's content address, the allocated program and its report.
+func allocate(t *testing.T, seed int64) (regalloc.CacheKey, *regalloc.Program, *regalloc.Report) {
 	t.Helper()
-	m := regalloc.Tiny(6, 4)
-	eng, err := regalloc.New(m, regalloc.WithParallelism(1))
+	eng, err := regalloc.New(regalloc.Tiny(6, 4), regalloc.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := progs.Random(m, progs.DefaultGen(seed))
+	prog := progs.Random(eng.Machine(), progs.DefaultGen(seed))
 	prog.SetMem(3, 42)
 	key := eng.CacheKey(prog)
 	out, rep, err := eng.AllocateProgram(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return key, &regalloc.CachedAllocation{Program: out, Report: rep}
+	return key, out, rep
+}
+
+// testEntry returns a real allocation's content address and cache
+// entry, exactly as the engine would hand them to a cache.
+func testEntry(t *testing.T, seed int64) (regalloc.CacheKey, *regalloc.CachedAllocation) {
+	t.Helper()
+	key, out, rep := allocate(t, seed)
+	return key, &regalloc.CachedAllocation{Frame: irbin.EncodeProgram(out), Report: rep}
 }
 
 func TestWireRoundTrip(t *testing.T) {
@@ -47,32 +57,28 @@ func TestWireRoundTrip(t *testing.T) {
 	if got.Report.Algorithm != entry.Report.Algorithm {
 		t.Errorf("report algorithm %q → %q", entry.Report.Algorithm, got.Report.Algorithm)
 	}
-	if got.Program.MemInit[3] != 42 {
-		t.Errorf("MemInit lost: %v", got.Program.MemInit)
+	if !bytes.Equal(got.Frame, entry.Frame) {
+		t.Error("frame bytes changed in the wire form")
 	}
-	// The allocated program must survive the machless wire form
-	// instruction for instruction. The first re-encode may differ only
-	// by dropped printer annotations (loop-depth comments), so assert
-	// the fixpoint: encode(decode(x)) is stable from the first trip on.
+	prog, err := irbin.DecodeProgram(got.Frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.MemInit[3] != 42 {
+		t.Errorf("MemInit lost: %v", prog.MemInit)
+	}
 	again, err := Encode(gotKey, got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got2, err := Decode(again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := Encode(gotKey, got2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(final) != string(again) {
+	if !bytes.Equal(again, data) {
 		t.Error("wire form is not a round-trip fixpoint")
 	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{"", "{", `{"key":""}`, `{"key":"sha256:ab","program":"@#$%","report":{}}`} {
+	// JSON documents are not entries.
+	for _, bad := range []string{"", "{", `{"key":""}`, `{"key":"sha256:ab","program":"@#$%","report":{}}`, magic, magic + "\x00"} {
 		if _, _, err := Decode([]byte(bad)); err == nil {
 			t.Errorf("Decode(%q) succeeded", bad)
 		}
@@ -158,7 +164,11 @@ func TestCorruptEntryDropped(t *testing.T) {
 	if err != nil || len(files) != 1 {
 		t.Fatalf("entry files = %v (err %v), want exactly one", files, err)
 	}
-	if err := os.WriteFile(files[0], []byte("{torn"), 0o644); err != nil {
+	whole, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[0], whole[:len(whole)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := Open(Config{Dir: dir, CostFactor: -1})
@@ -229,5 +239,45 @@ func TestEntryFileNames(t *testing.T) {
 	_, hex, _ := strings.Cut(string(key), ":")
 	if want := hex + entrySuffix; filepath.Base(files[0]) != want {
 		t.Errorf("entry file %s, want %s", filepath.Base(files[0]), want)
+	}
+}
+
+// TestConcurrentGetPut drives one tier from several goroutines at once,
+// with a bound small enough that Puts evict entries other goroutines
+// are reading: every Get must either miss or return a decodable entry.
+func TestConcurrentGetPut(t *testing.T) {
+	c, err := Open(Config{Dir: t.TempDir(), MaxEntries: 3, CostFactor: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type kv struct {
+		key   regalloc.CacheKey
+		entry *regalloc.CachedAllocation
+	}
+	var kvs []kv
+	for seed := int64(40); seed < 46; seed++ {
+		key, entry := testEntry(t, seed)
+		kvs = append(kvs, kv{key, entry})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				x := kvs[(g+i)%len(kvs)]
+				c.Put(x.key, x.entry)
+				if got, ok := c.Get(kvs[(g*3+i)%len(kvs)].key); ok {
+					if _, err := irbin.DecodeProgram(got.Frame); err != nil {
+						t.Errorf("hit returned an undecodable frame: %v", err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Entries > 3 {
+		t.Errorf("%d entries after concurrent use, want at most 3", st.Entries)
 	}
 }

@@ -5,12 +5,12 @@
 //
 // Entries are stored one file per content address under a directory
 // (<sha256-hex>.entry), written atomically (temp file + rename) in the
-// wire format shared with cluster replication: the allocated program in
-// its machine-independent textual form ($R<n> registers, parsed back
-// with a nil machine), the program's initial memory image, and the full
-// allocation Report. Open scans the directory, so a restart recovers
-// every previously admitted entry; a file that fails to decode is
-// deleted and counted, never fatal.
+// one wire form shared with cluster replication (Encode): the key, the
+// allocated program's internal/irbin frame exactly as the memory tier
+// holds it (initial memory image and loop depths included), and the
+// full allocation Report. Open scans the directory, so a restart
+// recovers every previously admitted entry; a file that fails to
+// decode is deleted and counted, never fatal.
 //
 // Admission is cost-aware, the economics the paper's speed thesis
 // implies: persisting a result only pays when redoing the allocation

@@ -1,110 +1,62 @@
 package diskcache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	regalloc "repro"
-	"repro/internal/ir"
 	"repro/internal/irbin"
 )
 
-// Entry is the wire form of one cached allocation: the disk tier's
+// magic opens every wire-form entry. It shares the LS* family with the
+// codec ("LSIR") and corpus ("LSCO") magics.
+const magic = "LSDE"
+
+// Encode renders one cache entry in the wire form, the disk tier's
 // on-disk record and the payload of the cluster's replication endpoints
-// (GET /cache/export, POST /cache/seed in internal/serve). The program
-// travels in its machine-independent textual form, so no machine
-// definition accompanies it; the key already content-addresses machine
-// and configuration.
-type Entry struct {
-	// Key is the content address (regalloc.CacheKey) the entry is
-	// stored under.
-	Key string `json:"key"`
-	// Program is the allocated program printed by a machless
-	// ir.Printer ($R<n> register spellings); ir.ParseProgram with a nil
-	// machine reads it back.
-	Program string `json:"program"`
-	// MemInit is the program's initial nonzero memory words, which the
-	// textual form does not carry.
-	MemInit map[int]int64 `json:"mem_init,omitempty"`
-	// Report is the original allocation's report; its PhaseStats are
-	// what cost-aware admission prices a future miss at.
-	Report *regalloc.Report `json:"report"`
-}
-
-// Encode renders one cache entry in wire form.
-func Encode(key regalloc.CacheKey, e *regalloc.CachedAllocation) ([]byte, error) {
-	if e == nil || e.Program == nil || e.Report == nil {
-		return nil, fmt.Errorf("diskcache: encode: incomplete entry")
-	}
-	var sb strings.Builder
-	(&ir.Printer{}).WriteProgram(&sb, e.Program)
-	w := Entry{Key: string(key), Program: sb.String(), Report: e.Report}
-	if len(e.Program.MemInit) > 0 {
-		w.MemInit = e.Program.MemInit
-	}
-	return json.Marshal(&w)
-}
-
-// binaryMagic opens the binary wire form (EncodeBinary). It shares the
-// LS* family with the codec ("LSIR") and corpus ("LSCO") magics, and —
-// like them — can never be confused with the JSON form, whose first
-// byte is '{'.
-const binaryMagic = "LSDE"
-
-// EncodeBinary renders one cache entry in the binary wire form:
+// (GET /cache/export, POST /cache/seed in internal/serve):
 //
 //	"LSDE" | uvarint keyLen | key | irbin frame | JSON report
 //
-// The program travels as an internal/irbin frame instead of printed
-// text, skipping both the printer here and the text parser on decode.
-// The frame is self-delimiting, so the report simply occupies the rest
-// of the buffer. The frame also carries MemWords and MemInit, which the
-// textual form cannot.
-func EncodeBinary(key regalloc.CacheKey, e *regalloc.CachedAllocation) ([]byte, error) {
-	if e == nil || e.Program == nil || e.Report == nil {
+// The frame is the entry's own bytes, copied verbatim; it is
+// self-delimiting, so the report simply occupies the rest of the
+// buffer. No machine definition travels with it: the key already
+// content-addresses machine and configuration.
+func Encode(key regalloc.CacheKey, e *regalloc.CachedAllocation) ([]byte, error) {
+	if e == nil || len(e.Frame) == 0 || e.Report == nil {
 		return nil, fmt.Errorf("diskcache: encode: incomplete entry")
 	}
-	buf := make([]byte, 0, 1024)
-	buf = append(buf, binaryMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
-	buf = append(buf, key...)
-	buf = irbin.AppendProgram(buf, e.Program)
 	rep, err := json.Marshal(e.Report)
 	if err != nil {
 		return nil, fmt.Errorf("diskcache: encode report: %w", err)
 	}
+	buf := make([]byte, 0, len(magic)+binary.MaxVarintLen64+len(key)+len(e.Frame)+len(rep))
+	buf = append(buf, magic...)
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
+	buf = append(buf, key...)
+	buf = append(buf, e.Frame...)
 	return append(buf, rep...), nil
 }
 
-// Decode parses a wire-form entry back into a cache key and entry,
-// sniffing the format: entries opening with the binary magic decode
-// through the binary path, everything else through JSON. One tier can
-// therefore hold a mix of both forms — switching Config.Binary never
-// invalidates an existing cache directory.
+// Decode parses a wire-form entry back into its cache key and entry.
+// It checks the frame's header and length, not the program inside: a
+// frame that later fails to decode is a miss for the engine, and the
+// replication endpoint decodes and validates what it is sent. The
+// returned entry shares no memory with data.
 func Decode(data []byte) (regalloc.CacheKey, *regalloc.CachedAllocation, error) {
-	if len(data) >= len(binaryMagic) && string(data[:len(binaryMagic)]) == binaryMagic {
-		return decodeBinary(data[len(binaryMagic):])
+	if !bytes.HasPrefix(data, []byte(magic)) {
+		return "", nil, fmt.Errorf("diskcache: decode: bad magic")
 	}
-	var w Entry
-	if err := json.Unmarshal(data, &w); err != nil {
-		return "", nil, fmt.Errorf("diskcache: decode: %w", err)
-	}
-	return w.Materialize()
-}
-
-func decodeBinary(data []byte) (regalloc.CacheKey, *regalloc.CachedAllocation, error) {
+	data = data[len(magic):]
 	keyLen, n := binary.Uvarint(data)
 	if n <= 0 || keyLen == 0 || keyLen > uint64(len(data)-n) {
-		return "", nil, fmt.Errorf("diskcache: decode: bad binary key length")
+		return "", nil, fmt.Errorf("diskcache: decode: bad key length")
 	}
 	key := string(data[n : n+int(keyLen)])
 	rest := data[n+int(keyLen):]
-	// The decoded program aliases data zero-copy; data is this entry's
-	// private read buffer and lives exactly as long as the program, so
-	// the aliasing is invisible to callers.
-	prog, frameLen, err := irbin.NewArena().Decode(rest)
+	frameLen, err := irbin.FrameSize(rest)
 	if err != nil {
 		return "", nil, fmt.Errorf("diskcache: decode program: %w", err)
 	}
@@ -112,23 +64,5 @@ func decodeBinary(data []byte) (regalloc.CacheKey, *regalloc.CachedAllocation, e
 	if err := json.Unmarshal(rest[frameLen:], &rep); err != nil {
 		return "", nil, fmt.Errorf("diskcache: decode report: %w", err)
 	}
-	return regalloc.CacheKey(key), &regalloc.CachedAllocation{Program: prog, Report: &rep}, nil
-}
-
-// Materialize turns an already-unmarshalled wire entry into a cache key
-// and entry, parsing the program text.
-func (w *Entry) Materialize() (regalloc.CacheKey, *regalloc.CachedAllocation, error) {
-	if w.Key == "" || w.Report == nil {
-		return "", nil, fmt.Errorf("diskcache: decode: missing key or report")
-	}
-	prog, err := ir.ParseProgramString(w.Program, nil)
-	if err != nil {
-		return "", nil, fmt.Errorf("diskcache: decode program: %w", err)
-	}
-	for a, v := range w.MemInit {
-		if a >= 0 && a < prog.MemWords {
-			prog.MemInit[a] = v
-		}
-	}
-	return regalloc.CacheKey(w.Key), &regalloc.CachedAllocation{Program: prog, Report: w.Report}, nil
+	return regalloc.CacheKey(key), &regalloc.CachedAllocation{Frame: bytes.Clone(rest[:frameLen]), Report: &rep}, nil
 }

@@ -34,12 +34,14 @@ import (
 //
 // A nil machine parses the machine-independent form a machless Printer
 // emits: registers must be spelled $R<n> and are taken at face value
-// (no bound check against a register file). The persistent cache tier
-// and cluster replication use this to move allocated programs between
-// nodes without shipping machine definitions alongside.
+// (no bound check against a register file). It is the text analogue
+// of an internal/irbin frame, which is how allocated programs move
+// between nodes.
 func ParseProgram(r io.Reader, mach *target.Machine) (*Program, error) {
 	p := &parser{mach: mach, sc: bufio.NewScanner(r)}
-	p.sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// Lines may be up to 1 MiB; the buffer starts small and grows only
+	// for long lines, so a typical parse does not pay for the limit.
+	p.sc.Buffer(nil, 1<<20)
 	prog, err := p.program()
 	if err != nil {
 		return nil, fmt.Errorf("line %d: %w", p.lineNo, err)

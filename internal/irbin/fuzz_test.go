@@ -60,6 +60,13 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if ir.ValidateProgram(prog2, nil) != nil {
 			return
 		}
+		// The text form carries no loop depth (the printer's "; depth=N"
+		// is a comment), so compare programs without it.
+		for _, p := range prog2.Procs {
+			for _, b := range p.Blocks {
+				b.Depth = 0
+			}
+		}
 		text := machlessText(prog2)
 		fromText, err := ir.ParseProgramString(text, nil)
 		if err != nil {

@@ -1,8 +1,9 @@
 // Package irbin is the compact binary codec for ir.Program: the wire
 // format behind the mmap streaming corpus (internal/corpus), the
 // service's application/x-lsra-ir request bodies (internal/serve), and
-// the persistent cache tier's binary entry encoding
-// (internal/diskcache).
+// the result cache, whose entries hold an allocated program as one
+// frame in memory, on disk (internal/diskcache) and in cluster
+// replication.
 //
 // The text form (ir.ParseProgram / ir.Printer) stays the human surface;
 // this codec exists because the cold serve path was dominated by text
@@ -15,8 +16,11 @@
 //     concatenate them.
 //   - Machine-less: physical registers travel as bare numbers (the
 //     binary analogue of the text form's $R<n> spellings), so no
-//     machine definition accompanies a program. MemInit is included —
-//     the one thing the text form cannot carry.
+//     machine definition accompanies a program. MemInit and each
+//     block's loop depth are included; the text form carries neither.
+//     Version 2 added the depth, so an allocated program (which prints
+//     "; depth=N" on loop blocks) prints identically after a round
+//     trip.
 //   - Zero-copy, arena-backed decode: Decode builds the program inside
 //     a reusable Arena (the internal/scratch capacity-reuse machinery)
 //     and every string aliases the input buffer (unsafe.String), so a
@@ -47,8 +51,9 @@ import (
 // Magic opens every frame.
 const Magic = "LSIR"
 
-// Version is the current wire version; Decode rejects others.
-const Version = 1
+// Version is the current wire version; Decode rejects others. Version
+// 2 added each block's loop depth, which allocated code prints.
+const Version = 2
 
 // headerLen is the fixed prefix before the payload-length uvarint.
 const headerLen = len(Magic) + 1
@@ -111,6 +116,7 @@ func appendProc(buf []byte, p *ir.Proc) []byte {
 	for _, b := range p.Blocks {
 		buf = binary.AppendUvarint(buf, uint64(b.ID))
 		buf = appendStr(buf, b.Name)
+		buf = binary.AppendUvarint(buf, uint64(b.Depth))
 		buf = binary.AppendUvarint(buf, uint64(len(b.Succs)))
 		for _, s := range b.Succs {
 			si, ok := index[s]
@@ -443,6 +449,13 @@ func scanProc(d *dec, c *counts) error {
 		if _, err := d.strBytes(); err != nil { // name
 			return err
 		}
+		depth, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if depth > math.MaxInt32 {
+			return fmt.Errorf("irbin: absurd loop depth %d", depth)
+		}
 		nSuccs, err := d.count("successor")
 		if err != nil {
 			return err
@@ -689,9 +702,13 @@ func (a *Arena) buildProc(d *dec, p *ir.Proc, blockOff, bptrOff, instrOff, opOff
 		if err != nil {
 			return err
 		}
+		depth, err := d.uvarint()
+		if err != nil {
+			return err
+		}
 		// Order doubles as the block's local index until Renumber
 		// reassigns it — the pred pass below leans on that.
-		*b = ir.Block{ID: int(id), Name: unsafeString(nameB), Order: bi}
+		*b = ir.Block{ID: int(id), Name: unsafeString(nameB), Order: bi, Depth: int(depth)}
 		if b.ID > maxID {
 			maxID = b.ID
 		}

@@ -2,10 +2,12 @@ package irbin_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
+	regalloc "repro"
 	"repro/internal/ir"
 	"repro/internal/irbin"
 	"repro/internal/progs"
@@ -96,7 +98,58 @@ entry:
 		t.Fatal(err)
 	}
 	prog.SetMem(3, -42)
+	prog.Procs[0].Blocks[0].Depth = 2 // allocated code prints loop depths
 	checkRoundTrip(t, prog)
+}
+
+// TestRoundTripAllocatedPrograms runs the engine's real output through
+// the codec on every machine preset under each heuristic allocator:
+// the decoded program must print with the machine exactly as the
+// engine's output did, which is what a cache hit serves.
+func TestRoundTripAllocatedPrograms(t *testing.T) {
+	loops := 0
+	for _, preset := range target.PresetNames() {
+		mach, err := regalloc.ParseMachine(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []string{"binpack", "twopass", "coloring", "linearscan"} {
+			eng, err := regalloc.New(mach, regalloc.WithAlgorithm(algo), regalloc.WithParallelism(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, profile := range []string{"default", "loop-nest"} {
+				cfg, err := progs.ProfileGen(profile, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, _, err := eng.AllocateProgram(context.Background(), progs.Random(mach, cfg))
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", preset, algo, profile, err)
+				}
+				got, err := irbin.DecodeProgram(irbin.EncodeProgram(out))
+				if err != nil {
+					t.Fatalf("%s/%s/%s: decode: %v", preset, algo, profile, err)
+				}
+				want, have := machText(mach, out), machText(mach, got)
+				if want != have {
+					t.Fatalf("%s/%s/%s: round trip changed the allocated program:\nwant:\n%s\nhave:\n%s", preset, algo, profile, want, have)
+				}
+				if strings.Contains(want, "; depth=") {
+					loops++
+				}
+			}
+		}
+	}
+	if loops == 0 {
+		t.Fatal("no allocated program had a loop block; depth went untested")
+	}
+}
+
+func machText(mach *target.Machine, prog *ir.Program) string {
+	var sb strings.Builder
+	(&ir.Printer{Mach: mach}).WriteProgram(&sb, prog)
+	return sb.String()
 }
 
 func TestTextBinaryParity(t *testing.T) {

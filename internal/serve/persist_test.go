@@ -2,9 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	regalloc "repro"
+	"repro/internal/diskcache"
+	"repro/internal/ir"
+	"repro/internal/irbin"
 )
 
 // TestPersistTierSurvivesRestart allocates against a daemon with a
@@ -122,7 +128,7 @@ func TestCacheExportSeed(t *testing.T) {
 // counted, not installed, and that a cacheless daemon refuses seeding.
 func TestCacheSeedRejectsGarbage(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body, _ := json.Marshal(&CacheSeedRequest{Entries: []json.RawMessage{json.RawMessage(`{"key":""}`)}})
+	body, _ := json.Marshal(&CacheSeedRequest{Entries: [][]byte{[]byte(`{"key":""}`)}})
 	resp, err := http.Post(ts.URL+"/cache/seed", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -144,5 +150,76 @@ func TestCacheSeedRejectsGarbage(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("seed to cacheless daemon: status %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestCacheSeedRejectsBadFrames sends well-formed wire entries whose
+// frames are hostile: one that irbin cannot decode, one that decodes to
+// a program ir.ValidateProgram refuses. Both must be counted as
+// rejected and neither stored.
+func TestCacheSeedRejectsBadFrames(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	rep := &regalloc.Report{Algorithm: "binpack"}
+
+	// A frame header promising three payload bytes that are not a program.
+	undecodable := binary.AppendUvarint(append([]byte(irbin.Magic), irbin.Version), 3)
+	undecodable = append(undecodable, 0xff, 0xff, 0xff)
+
+	// A structurally sound program whose main procedure does not exist.
+	prog, err := ir.ParseProgramString("program mem=0 main=f\nfunc f() {\nentry:\n    ret\n}\n", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Main = "missing"
+	invalid := irbin.EncodeProgram(prog)
+
+	var req CacheSeedRequest
+	for key, frame := range map[regalloc.CacheKey][]byte{"sha256:aa": undecodable, "sha256:bb": invalid} {
+		data, err := diskcache.Encode(key, &regalloc.CachedAllocation{Frame: frame, Report: rep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Entries = append(req.Entries, data)
+	}
+	body, _ := json.Marshal(&req)
+	resp, err := http.Post(ts.URL+"/cache/seed", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var seeded CacheSeedResponse
+	if err := json.NewDecoder(resp.Body).Decode(&seeded); err != nil {
+		t.Fatal(err)
+	}
+	if seeded.Rejected != 2 || seeded.Seeded != 0 {
+		t.Errorf("seed of hostile frames = %+v, want 2 rejections", seeded)
+	}
+	if n := s.Cache().Stats().Entries; n != 0 {
+		t.Errorf("cache holds %d entries after rejected seeds, want 0", n)
+	}
+}
+
+// TestUndecodableCacheEntryIsAMiss plants an entry whose frame cannot
+// be decoded under a live request's key: the next request must be
+// re-allocated and answered as a miss with the same program, never a
+// 500, and the bad entry replaced.
+func TestUndecodableCacheEntryIsAMiss(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	req := AllocateRequest{Machine: "tiny:6,4", Program: workloadText(t, "tiny:6,4", 24)}
+	var first, again AllocateResponse
+	post(t, ts.URL, req, http.StatusOK, &first)
+	key := regalloc.CacheKey(first.Results[0].Key)
+	s.Cache().Put(key, &regalloc.CachedAllocation{Frame: []byte(irbin.Magic + "junk"), Report: first.Results[0].Report})
+
+	post(t, ts.URL, req, http.StatusOK, &again)
+	if again.Results[0].Cached {
+		t.Error("undecodable entry reported as a cache hit")
+	}
+	if again.Results[0].Program != first.Results[0].Program {
+		t.Error("re-allocation after a bad entry printed a different program")
+	}
+	post(t, ts.URL, req, http.StatusOK, &again)
+	if !again.Results[0].Cached || again.Results[0].Program != first.Results[0].Program {
+		t.Error("bad entry was not replaced by the re-allocation")
 	}
 }

@@ -99,11 +99,6 @@ type Config struct {
 	// PersistCostFactor is the disk tier's admission bar (0 = diskcache
 	// default; negative admits everything).
 	PersistCostFactor float64
-	// PersistBinary selects the disk tier's binary entry encoding
-	// (programs stored as internal/irbin frames instead of printed
-	// text). Reads sniff the format per entry, so this is safe to flip
-	// on an existing directory.
-	PersistBinary bool
 }
 
 // Priority is a request's scheduling class.
@@ -380,7 +375,6 @@ func New(cfg Config) (*Server, error) {
 				Dir:        cfg.PersistDir,
 				MaxEntries: cfg.PersistEntries,
 				CostFactor: cfg.PersistCostFactor,
-				Binary:     cfg.PersistBinary,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("serve: %w", err)
@@ -956,15 +950,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // CacheExportResponse is the GET /cache/export document: the hottest
-// cache entries in wire form (diskcache.Entry), newest first.
+// cache entries in wire form (diskcache.Encode), newest first.
 type CacheExportResponse struct {
-	Entries []json.RawMessage `json:"entries"`
+	Entries [][]byte `json:"entries"`
 }
 
 // CacheSeedRequest is the POST /cache/seed body: wire-form entries to
 // install. CacheSeedResponse reports how many were installed.
 type CacheSeedRequest struct {
-	Entries []json.RawMessage `json:"entries"`
+	Entries [][]byte `json:"entries"`
 }
 
 // CacheSeedResponse is the POST /cache/seed reply.
@@ -989,7 +983,7 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	resp := CacheExportResponse{Entries: []json.RawMessage{}}
+	resp := CacheExportResponse{Entries: [][]byte{}}
 	if hl, ok := s.cache.(regalloc.HotLister); ok {
 		for _, he := range hl.Hottest(n) {
 			data, err := diskcache.Encode(he.Key, he.Entry)
@@ -1004,8 +998,9 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCacheSeed installs wire-form entries into the cache — the push
-// side of cluster replication. Entries that fail to decode are counted
-// and skipped, never fatal: a partially corrupt replication batch still
+// side of cluster replication. Entries that fail to decode, or whose
+// program fails irbin decoding or ir.ValidateProgram, are counted and
+// skipped, never fatal: a partially corrupt replication batch still
 // warms what it can.
 func (s *Server) handleCacheSeed(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -1025,6 +1020,9 @@ func (s *Server) handleCacheSeed(w http.ResponseWriter, r *http.Request) {
 	var resp CacheSeedResponse
 	for _, raw := range req.Entries {
 		key, entry, err := diskcache.Decode(raw)
+		if err == nil {
+			err = checkFrame(entry.Frame)
+		}
 		if err != nil {
 			resp.Rejected++
 			continue
@@ -1035,6 +1033,17 @@ func (s *Server) handleCacheSeed(w http.ResponseWriter, r *http.Request) {
 	s.seeded.Add(uint64(resp.Seeded))
 	s.seedRejected.Add(uint64(resp.Rejected))
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// checkFrame refuses a seeded frame that does not decode to a valid
+// program. The engine serves any cached frame that decodes, so a
+// peer's entries are checked here, before they reach the cache.
+func checkFrame(frame []byte) error {
+	prog, err := irbin.DecodeProgram(frame)
+	if err != nil {
+		return err
+	}
+	return ir.ValidateProgram(prog, nil)
 }
 
 // configDoc is the GET /config document: what the daemon serves.

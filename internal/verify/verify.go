@@ -11,6 +11,12 @@
 // (keeping a live value in a caller-saved register across a call) are
 // caught statically, complementing the VM's paranoid mode.
 //
+// Verify judges the allocator's own output only: alloc.Pipeline runs it
+// right after allocation, before forward stores and the peephole pass.
+// Those passes delete and rewrite instructions, so Verify run on their
+// output rejects correct allocations; it is not a checker for
+// post-peephole code.
+//
 // One deliberate relaxation models the VM's zero-initialized temporary
 // semantics: a use of a temporary that is not defined along every path
 // reaching it ("maybe-undefined") is exempt from the location check
