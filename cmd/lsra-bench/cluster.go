@@ -41,10 +41,9 @@ type clusterBench struct {
 	BinaryNsPerRequest int64   `json:"binary_ns_per_request"`
 	JSONNsPerRequest   int64   `json:"json_ns_per_request"`
 	BinarySpeedup      float64 `json:"binary_speedup"`
-	// BinaryRequests/JSONFallbacks are the binary client's transport
-	// counters over the duel (fallbacks must be zero against this fleet).
+	// BinaryRequests is the binary client's transport counter over the
+	// duel.
 	BinaryRequests uint64 `json:"binary_requests"`
-	JSONFallbacks  uint64 `json:"json_fallbacks"`
 
 	// Tail latency against a cluster with one slow node (fixed injected
 	// stall on its allocate path), same warm workload, with and without
@@ -220,9 +219,7 @@ func runClusterBench(machine string) (*clusterBench, error) {
 	if out.BinaryNsPerRequest > 0 {
 		out.BinarySpeedup = float64(out.JSONNsPerRequest) / float64(out.BinaryNsPerRequest)
 	}
-	bst := binCl.Stats()
-	out.BinaryRequests = bst.BinaryRequests
-	out.JSONFallbacks = bst.JSONFallbacks
+	out.BinaryRequests = binCl.Stats().BinaryRequests
 
 	// Cost-aware admission under the default bar: a single-node probe
 	// sees the same distinct programs and decides, per entry, whether

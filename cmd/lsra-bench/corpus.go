@@ -8,15 +8,14 @@ package main
 //
 //   - The ladder decodes N programs (100k → 1M → 10M by default) from
 //     an mmap'd corpus at full core saturation, cycling the corpus's
-//     distinct programs, and reports programs/second per rung plus a
-//     runtime-verified allocation count per decode (zero in steady
-//     state — the claim BenchmarkCorpusDecodeSteadyState gates in CI).
-//   - A bounded decode+allocate pass reports what ingestion plus the
-//     actual linear-scan pipeline sustains per core.
-//   - The pipeline duel runs the same decode+allocate workload twice on
-//     identical input — the lockstep loop vs the decode-ahead pipeline
-//     (internal/pipeline) — and reports programs/sec per runner plus the
-//     per-stage utilization counters that name the saturated stage.
+//     distinct programs, and reports decode-only programs/second per
+//     rung plus a runtime-verified allocation count per decode (zero in
+//     steady state — the claim BenchmarkCorpusDecodeSteadyState gates
+//     in CI). No rung allocates registers.
+//   - A bounded decode+allocate pass runs the same W workers as the
+//     ladder, each decoding and allocating its shard of the programs in
+//     turn, and reports the allocation rate; decode's share of it
+//     compares the two loops at equal W.
 //   - The serve duel replays one workload against two fresh in-process
 //     servers — text/JSON vs binary frames — and reports the cold
 //     per-program cost of each front end.
@@ -29,13 +28,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,7 +45,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/ir"
 	"repro/internal/irbin"
-	"repro/internal/pipeline"
 	"repro/internal/serve"
 )
 
@@ -54,7 +52,7 @@ import (
 type corpusBench struct {
 	// CorpusPrograms is the number of distinct programs in the corpus
 	// file; rungs larger than that cycle it. CorpusBytes is the file
-	// size; Workers the decode parallelism of the ladder.
+	// size; Workers the parallelism of the ladder and of Alloc.
 	CorpusPrograms int   `json:"corpus_programs"`
 	CorpusBytes    int64 `json:"corpus_bytes"`
 	// Shards is the member count of the corpus shard set (1 for a
@@ -62,38 +60,17 @@ type corpusBench struct {
 	Shards  int          `json:"shards"`
 	Workers int          `json:"workers"`
 	Rungs   []corpusRung `json:"rungs"`
-	// Alloc is the bounded decode+allocate measurement (single engine,
-	// full pipeline per program).
+	// Alloc is the bounded decode+allocate measurement (one engine per
+	// worker, full pipeline per program).
 	Alloc *corpusAlloc `json:"alloc,omitempty"`
-	// Pipeline is the lockstep-vs-decode-ahead duel on identical input.
-	Pipeline *pipelineDuel `json:"pipeline,omitempty"`
 	// ServeDuel is the cold text-vs-binary service front-end duel.
 	ServeDuel *serveDuel `json:"serve_duel,omitempty"`
 }
 
-// pipelineDuel is the decode-ahead measurement: the same programs, the
-// same engine, run through the lockstep loop and the pipelined runner.
-type pipelineDuel struct {
-	Programs  int    `json:"programs"`
-	Machine   string `json:"machine"`
-	Algorithm string `json:"algorithm"`
-	// GCPercent is the GC target both runners measured under (the duel
-	// raises it so GC cadence against the pinned decode window doesn't
-	// masquerade as pipeline overhead).
-	GCPercent int `json:"gc_percent"`
-	// Lockstep and Pipelined are each runner's full Stats: programs/sec,
-	// busy/stall nanoseconds per stage, utilizations, ring occupancy.
-	Lockstep  *pipeline.Stats `json:"lockstep"`
-	Pipelined *pipeline.Stats `json:"pipelined"`
-	// Speedup is pipelined/lockstep programs-per-second.
-	Speedup float64 `json:"speedup"`
-	// Bottleneck names the pipelined run's saturated stage.
-	Bottleneck string `json:"bottleneck"`
-}
-
 // corpusRung is one ladder step.
 type corpusRung struct {
-	// Programs is the rung size (decodes performed, cycling the corpus).
+	// Programs is the rung size (decodes performed, cycling the corpus);
+	// the rates are decode-only.
 	Programs       int     `json:"programs"`
 	ElapsedNs      int64   `json:"elapsed_ns"`
 	ProgramsPerSec float64 `json:"programs_per_sec"`
@@ -112,8 +89,8 @@ type corpusAlloc struct {
 	Algorithm      string  `json:"algorithm"`
 	NsPerProgram   int64   `json:"ns_per_program"`
 	ProgramsPerSec float64 `json:"programs_per_sec"`
-	// DecodeShare is decode's fraction of the combined cost, estimated
-	// from the pure-decode rate of the first rung.
+	// DecodeShare is decode's fraction of the combined cost: the first
+	// rung's ns/program over this loop's, both from the same workers.
 	DecodeShare float64 `json:"decode_share"`
 }
 
@@ -158,16 +135,14 @@ type corpusOpts struct {
 	Programs int
 	Shards   int
 	Rungs    []int
-	// Workers is the decode ladder's parallelism (0 = GOMAXPROCS).
+	// Workers is the parallelism of the ladder and of the
+	// decode+allocate loop (0 = GOMAXPROCS).
 	Workers int
-	// PipelineWorkers and DecodeAhead tune the duel's pipelined runner
-	// (0 = the pipeline package defaults).
-	PipelineWorkers int
-	DecodeAhead     int
 }
 
-// runCorpusBench runs the ladder and the pipeline duel over the corpus
-// set named by opt.Path (generated into a temp dir when empty).
+// runCorpusBench runs the ladder, the decode+allocate loop and the serve
+// duel over the corpus set named by opt.Path (generated into a temp dir
+// when empty).
 func runCorpusBench(opt corpusOpts) (*corpusBench, error) {
 	if opt.Path == "" {
 		dir, err := os.MkdirTemp("", "lsra-corpus-*")
@@ -220,20 +195,14 @@ func runCorpusBench(opt corpusOpts) (*corpusBench, error) {
 		cb.Rungs = append(cb.Rungs, *rung)
 	}
 
-	alloc, err := runCorpusAlloc(r, min(r.Count(), 2000))
+	alloc, err := runCorpusAlloc(r, arenas, min(r.Count(), 2000))
 	if err != nil {
 		return nil, err
 	}
-	if len(cb.Rungs) > 0 && cb.Rungs[0].NsPerProgram > 0 {
+	if len(cb.Rungs) > 0 && alloc.NsPerProgram > 0 {
 		alloc.DecodeShare = float64(cb.Rungs[0].NsPerProgram) / float64(alloc.NsPerProgram)
 	}
 	cb.Alloc = alloc
-
-	pd, err := runPipelineDuel(r, min(r.Count(), 1000), opt.PipelineWorkers, opt.DecodeAhead)
-	if err != nil {
-		return nil, err
-	}
-	cb.Pipeline = pd
 
 	duel, err := runServeDuel("x86-8")
 	if err != nil {
@@ -243,114 +212,44 @@ func runCorpusBench(opt corpusOpts) (*corpusBench, error) {
 	return cb, nil
 }
 
-// runPipelineDuel runs n programs through the lockstep loop and the
-// decode-ahead pipeline: identical input, identical engine, so the two
-// Stats differ only in how the stages overlap.
-func runPipelineDuel(r *corpus.Set, n, allocWorkers, decodeAhead int) (*pipelineDuel, error) {
-	const machine = "alpha"
-	mach, err := regalloc.ParseMachine(machine)
-	if err != nil {
-		return nil, err
+// shardLoop runs body on workers goroutines, worker w owning the
+// index range [n*w/workers, n*(w+1)/workers), and returns the wall time
+// and the workers' errors joined.
+func shardLoop(workers, n int, body func(w, lo, hi int) error) (time.Duration, error) {
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = body(w, n*w/workers, n*(w+1)/workers)
+		}(w)
 	}
-	eng, err := regalloc.New(mach, regalloc.WithParallelism(1))
-	if err != nil {
-		return nil, err
-	}
-	// Warm the engine scratch space before either timed run.
-	arena := irbin.NewArena()
-	prog, err := r.Decode(0, arena)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := eng.AllocateProgram(context.Background(), prog); err != nil {
-		return nil, err
-	}
-	cfg := pipeline.Config{Programs: n, AllocWorkers: allocWorkers, DecodeAhead: decodeAhead}
-	// Both runners measure under a 400% GC target: the decode-ahead ring
-	// pins a pointer-rich window of live programs, and at the default
-	// target the collector re-scans that window often enough to charge
-	// the pipelined runner a GC-cadence tax unrelated to its structure.
-	// Raising the target for both sides (disclosed as GCPercent) keeps
-	// the duel about stage overlap; the ladder rungs still run at the
-	// process default.
-	const duelGCPercent = 400
-	old := debug.SetGCPercent(duelGCPercent)
-	defer debug.SetGCPercent(old)
-	// Best of six per runner, strictly alternating, with a GC before
-	// each timed pass. Short passes matter more than long ones here:
-	// host CPU speed drifts on the scale of seconds, so the duel's
-	// fairness comes from both runners sampling the same drift curve,
-	// not from any single long measurement.
-	const duelRounds = 6
-	var ls, pl *pipeline.Stats
-	for round := 0; round < duelRounds; round++ {
-		runtime.GC()
-		l, err := pipeline.RunLockstep(context.Background(), r, eng, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if ls == nil || l.ProgramsPerSec > ls.ProgramsPerSec {
-			ls = l
-		}
-		runtime.GC()
-		p, err := pipeline.Run(context.Background(), r, eng, cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		if pl == nil || p.ProgramsPerSec > pl.ProgramsPerSec {
-			pl = p
-		}
-	}
-	d := &pipelineDuel{
-		Programs:   n,
-		Machine:    machine,
-		Algorithm:  eng.Algorithm(),
-		GCPercent:  duelGCPercent,
-		Lockstep:   ls,
-		Pipelined:  pl,
-		Bottleneck: pl.Bottleneck(),
-	}
-	if ls.ProgramsPerSec > 0 {
-		d.Speedup = pl.ProgramsPerSec / ls.ProgramsPerSec
-	}
-	return d, nil
+	wg.Wait()
+	return time.Since(start), errors.Join(errs...)
 }
 
 // runRung decodes n programs across the worker arenas, cycling the
 // corpus, and measures wall time plus per-program heap allocations.
 func runRung(r *corpus.Set, arenas []*irbin.Arena, n int) (*corpusRung, error) {
-	workers := len(arenas)
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			arena := arenas[w]
-			for i := lo; i < hi; i++ {
-				// Decode mutates the arena, so the loop cannot be
-				// optimized away; the program itself is dropped — this
-				// rung isolates ingestion.
-				if _, err := r.Decode(i%r.Count(), arena); err != nil {
-					errs[w] = err
-					return
-				}
+	elapsed, err := shardLoop(len(arenas), n, func(w, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			// Decode mutates the arena, so the loop cannot be optimized
+			// away; the program itself is dropped — this rung isolates
+			// ingestion.
+			if _, err := r.Decode(i%r.Count(), arenas[w]); err != nil {
+				return err
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
+		return nil
+	})
+	runtime.ReadMemStats(&ms1)
+	if err != nil {
+		return nil, err
 	}
 	// Bytes decoded = full corpus cycles plus the partial cycle.
 	var cycleBytes int64
@@ -374,42 +273,49 @@ func runRung(r *corpus.Set, arenas []*irbin.Arena, n int) (*corpusRung, error) {
 	return rung, nil
 }
 
-// runCorpusAlloc measures decode + full allocation pipeline over the
-// first n corpus programs on one engine.
-func runCorpusAlloc(r *corpus.Set, n int) (*corpusAlloc, error) {
+// runCorpusAlloc measures decode + the full allocation pipeline over the
+// first n corpus programs with the same worker count as the ladder:
+// worker w owns arenas[w] and one single-threaded engine, and decodes
+// and allocates its shard of the n programs in turn.
+func runCorpusAlloc(r *corpus.Set, arenas []*irbin.Arena, n int) (*corpusAlloc, error) {
 	const machine = "alpha"
 	mach, err := regalloc.ParseMachine(machine)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := regalloc.New(mach, regalloc.WithParallelism(1))
-	if err != nil {
-		return nil, err
-	}
-	arena := irbin.NewArena()
-	// Warm the engine's scratch arenas on one program before timing.
-	prog, err := r.Decode(0, arena)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := eng.AllocateProgram(context.Background(), prog); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		prog, err := r.Decode(i, arena)
+	engines := make([]*regalloc.Engine, len(arenas))
+	for w := range engines {
+		if engines[w], err = regalloc.New(mach, regalloc.WithParallelism(1)); err != nil {
+			return nil, err
+		}
+		// Warm the engine's scratch arenas on one program before timing.
+		prog, err := r.Decode(0, arenas[w])
 		if err != nil {
 			return nil, err
 		}
-		if _, _, err := eng.AllocateProgram(context.Background(), prog); err != nil {
-			return nil, fmt.Errorf("corpus program %d: %w", i, err)
+		if _, _, err := engines[w].AllocateProgram(context.Background(), prog); err != nil {
+			return nil, err
 		}
 	}
-	elapsed := time.Since(start)
+	elapsed, err := shardLoop(len(arenas), n, func(w, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			prog, err := r.Decode(i, arenas[w])
+			if err != nil {
+				return err
+			}
+			if _, _, err := engines[w].AllocateProgram(context.Background(), prog); err != nil {
+				return fmt.Errorf("corpus program %d: %w", i, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	ca := &corpusAlloc{
 		Programs:     n,
 		Machine:      machine,
-		Algorithm:    eng.Algorithm(),
+		Algorithm:    engines[0].Algorithm(),
 		NsPerProgram: elapsed.Nanoseconds() / int64(n),
 	}
 	if s := elapsed.Seconds(); s > 0 {

@@ -221,9 +221,7 @@ func main() {
 		corpusprogs = flag.Int("corpus-programs", 20000, "distinct programs in the generated corpus")
 		corpusShard = flag.Int("corpus-shards", 4, "shard-set members when generating a corpus")
 		corpusRungs = flag.String("corpus-rungs", "100000,1000000,10000000,100000000", "comma-separated ladder rung sizes")
-		corpusWork  = flag.Int("corpus-workers", 0, "ladder decode workers (0 = GOMAXPROCS)")
-		pipeWork    = flag.Int("pipeline-workers", 0, "pipeline-duel allocator workers (0 = GOMAXPROCS)")
-		decodeAhead = flag.Int("decode-ahead", 0, "pipeline-duel decoded programs in flight (0 = pipeline default)")
+		corpusWork  = flag.Int("corpus-workers", 0, "ladder and decode+allocate workers (0 = GOMAXPROCS)")
 		qualityF    = flag.Bool("quality", false, "quality frontier: spill-traffic gap vs the oracle optimum, envelopes enforced")
 		allocF      = flag.Bool("alloc", false, "per-benchmark engine allocation reports")
 		all         = flag.Bool("all", false, "run everything")
@@ -302,13 +300,11 @@ func main() {
 			die(err)
 		}
 		if out.Corpus, err = runCorpusBench(corpusOpts{
-			Path:            *corpusFile,
-			Programs:        *corpusprogs,
-			Shards:          *corpusShard,
-			Rungs:           rungs,
-			Workers:         *corpusWork,
-			PipelineWorkers: *pipeWork,
-			DecodeAhead:     *decodeAhead,
+			Path:     *corpusFile,
+			Programs: *corpusprogs,
+			Shards:   *corpusShard,
+			Rungs:    rungs,
+			Workers:  *corpusWork,
 		}); err != nil {
 			die(err)
 		}
@@ -456,10 +452,10 @@ func printText(out *benchOutput) {
 			cb.ColdNsPerRequest, cb.WarmNsPerRequest, cb.WarmHitRate, cb.RestartWarmHitRate)
 		fmt.Printf("  persist admission (default bar): %d admitted, %d rejected as too cheap\n",
 			cb.PersistAdmitted, cb.PersistRejectedCost)
-		fmt.Printf("  binary wire form (warm hot set): json %v/req -> binary %v/req (%.2fx, %d binary posts, %d fallbacks)\n",
+		fmt.Printf("  binary wire form (warm hot set): json %v/req -> binary %v/req (%.2fx, %d binary posts)\n",
 			time.Duration(cb.JSONNsPerRequest).Round(time.Microsecond),
 			time.Duration(cb.BinaryNsPerRequest).Round(time.Microsecond),
-			cb.BinarySpeedup, cb.BinaryRequests, cb.JSONFallbacks)
+			cb.BinarySpeedup, cb.BinaryRequests)
 		fmt.Printf("  hedging vs one node stalled %v: p50 %v -> %v, p99 %v -> %v (%.1fx at p99, %d hedge wins)\n",
 			time.Duration(cb.StallNs),
 			time.Duration(cb.UnhedgedP50Ns).Round(time.Microsecond), time.Duration(cb.HedgedP50Ns).Round(time.Microsecond),
@@ -474,6 +470,7 @@ func printText(out *benchOutput) {
 		fmt.Printf("  corpus: %d distinct programs over %d shards, %.1f MiB (%.0f bytes/program), %d workers\n",
 			cb.CorpusPrograms, cb.Shards, float64(cb.CorpusBytes)/(1<<20),
 			float64(cb.CorpusBytes)/float64(max(cb.CorpusPrograms, 1)), cb.Workers)
+		fmt.Println("  ladder (decode only, no register allocation):")
 		fmt.Printf("%12s %14s %16s %12s %12s\n",
 			"programs", "elapsed", "programs/sec", "MB/sec", "allocs/prog")
 		for _, rg := range cb.Rungs {
@@ -482,22 +479,8 @@ func printText(out *benchOutput) {
 				rg.ProgramsPerSec, rg.MBPerSec, rg.AllocsPerProgram)
 		}
 		if a := cb.Alloc; a != nil {
-			fmt.Printf("  decode+allocate (%s, %s): %d programs, %d ns/program (%.0f programs/sec, decode share %.1f%%)\n",
-				a.Machine, a.Algorithm, a.Programs, a.NsPerProgram, a.ProgramsPerSec, 100*a.DecodeShare)
-		}
-		if p := cb.Pipeline; p != nil {
-			fmt.Printf("  pipeline duel (%s, %s, %d programs): lockstep %.0f programs/sec vs pipelined %.0f (%.2fx)\n",
-				p.Machine, p.Algorithm, p.Programs,
-				p.Lockstep.ProgramsPerSec, p.Pipelined.ProgramsPerSec, p.Speedup)
-			fmt.Printf("    pipelined: %d decode + %d alloc workers, decode-ahead %d (batch %d); "+
-				"utilization decode %.2f / alloc %.2f, ring occupancy %.1f, bottleneck: %s\n",
-				p.Pipelined.DecodeWorkers, p.Pipelined.AllocWorkers,
-				p.Pipelined.DecodeAhead, p.Pipelined.Batch,
-				p.Pipelined.DecodeUtilization, p.Pipelined.AllocUtilization,
-				p.Pipelined.AvgRingOccupancy, p.Bottleneck)
-			fmt.Printf("    stalls: decode %v waiting on allocators, alloc %v waiting on decode\n",
-				time.Duration(p.Pipelined.DecodeStallNs).Round(time.Millisecond),
-				time.Duration(p.Pipelined.AllocStallNs).Round(time.Millisecond))
+			fmt.Printf("  decode+allocate (%s, %s, %d workers): %d programs, %d ns/program (%.0f programs/sec, decode share %.1f%%)\n",
+				a.Machine, a.Algorithm, cb.Workers, a.Programs, a.NsPerProgram, a.ProgramsPerSec, 100*a.DecodeShare)
 		}
 		if d := cb.ServeDuel; d != nil {
 			fmt.Printf("  serve cold duel (%s, %d programs): text %d ns/program vs binary %d ns/program (%.2fx)\n",

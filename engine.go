@@ -238,7 +238,7 @@ func (e *Engine) AllocateProgram(ctx context.Context, prog *Program) (*Program, 
 	if workers == 1 {
 		// Inline fast path: a single worker gains nothing from the pool,
 		// and the per-proc channel rendezvous is pure scheduler traffic —
-		// measurably so when other goroutines (a decode-ahead stage, the
+		// measurably so when other goroutines (other corpus workers, the
 		// service's accept loop) are runnable on the same core.
 		for i := range procs {
 			work(i)

@@ -2,13 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/serve"
 )
@@ -58,71 +54,8 @@ func TestBinaryTransportRoundTrip(t *testing.T) {
 	if bs.BinaryRequests == 0 {
 		t.Fatalf("binary client sent no binary requests: %+v", bs)
 	}
-	if bs.JSONFallbacks != 0 {
-		t.Fatalf("binary client fell back against a binary-capable node: %+v", bs)
-	}
 	if ts.BinaryRequests != 0 {
 		t.Fatalf("DisableBinary client sent binary requests: %+v", ts)
-	}
-}
-
-// TestBinaryFallbackOn415 simulates an older node without the binary
-// arm: the first binary post gets 415, the client demotes the node to
-// JSON for its lifetime and repeats the same request as JSON, and
-// later requests skip binary entirely.
-func TestBinaryFallbackOn415(t *testing.T) {
-	var mu sync.Mutex
-	var binaryPosts, jsonPosts int
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		defer mu.Unlock()
-		if strings.HasPrefix(r.Header.Get("Content-Type"), serve.ContentTypeBinaryIR) {
-			binaryPosts++
-			w.WriteHeader(http.StatusUnsupportedMediaType)
-			json.NewEncoder(w).Encode(serve.ErrorResponse{Error: "unsupported media type"})
-			return
-		}
-		jsonPosts++
-		var req serve.AllocateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			w.WriteHeader(http.StatusBadRequest)
-			return
-		}
-		json.NewEncoder(w).Encode(serve.AllocateResponse{
-			Machine: req.Machine,
-			Results: []serve.AllocatedProgram{{Program: "ok"}},
-		})
-	}))
-	defer ts.Close()
-
-	cl := NewClient(ClientConfig{Nodes: []string{ts.URL}, DownCooldown: time.Millisecond})
-	job := testJobs(t, 1)[0]
-	req := serve.AllocateRequest{Machine: testMachine, Program: job.Text}
-
-	for i := 0; i < 3; i++ {
-		resp, _, err := cl.Allocate(context.Background(), req)
-		if err != nil {
-			t.Fatalf("allocate %d: %v", i, err)
-		}
-		if resp.Results[0].Program != "ok" {
-			t.Fatalf("allocate %d: unexpected result %q", i, resp.Results[0].Program)
-		}
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if binaryPosts != 1 {
-		t.Fatalf("%d binary posts, want exactly 1 (node demoted after the 415)", binaryPosts)
-	}
-	if jsonPosts != 3 {
-		t.Fatalf("%d JSON posts, want 3", jsonPosts)
-	}
-	st := cl.Stats()
-	if st.JSONFallbacks != 1 || st.BinaryRequests != 1 {
-		t.Fatalf("stats: %+v, want 1 binary request and 1 fallback", st)
-	}
-	if st.Errors != 0 || st.Failovers != 0 {
-		t.Fatalf("415 fallback must not count as node failure: %+v", st)
 	}
 }
 

@@ -63,8 +63,7 @@ type ClientConfig struct {
 	// DisableBinary forces every request onto the JSON wire form. By
 	// default the client parses request programs locally and posts
 	// application/x-lsra-ir bodies (see serve.ContentTypeBinaryIR),
-	// which skips the server's text parser; nodes that answer 415 are
-	// remembered as JSON-only and never sent binary again.
+	// which skips the server's text parser.
 	DisableBinary bool
 }
 
@@ -84,10 +83,8 @@ type ClientStats struct {
 	// the node table (timer-driven and failover-triggered alike).
 	TopologyRefreshes uint64 `json:"topology_refreshes"`
 	// BinaryRequests counts node attempts posted in the binary wire
-	// form (application/x-lsra-ir); JSONFallbacks counts 415 answers
-	// that demoted a node to JSON for the client's lifetime.
+	// form (application/x-lsra-ir).
 	BinaryRequests uint64 `json:"binary_requests"`
-	JSONFallbacks  uint64 `json:"json_fallbacks"`
 }
 
 // Client is the cluster-aware allocation client: consistent-hash
@@ -100,17 +97,16 @@ type Client struct {
 
 	healthMu sync.Mutex
 	downTil  map[string]time.Time
-	jsonOnly map[string]bool // nodes that answered 415 to a binary post
 
 	// machCache memoizes target.Parse per machine spec so the binary
 	// encoder does not re-derive the machine on every request.
 	machMu    sync.Mutex
 	machCache map[string]*target.Machine
 
-	requests, failovers   atomic.Uint64
-	hedges, hedgeWins     atomic.Uint64
-	retries429, errorsCt  atomic.Uint64
-	binaryReqs, jsonFalls atomic.Uint64
+	requests, failovers  atomic.Uint64
+	hedges, hedgeWins    atomic.Uint64
+	retries429, errorsCt atomic.Uint64
+	binaryReqs           atomic.Uint64
 
 	// Topology refresh loop state (nil/inert when TopologyURL is unset).
 	refreshC    chan struct{} // non-blocking kick: poll now
@@ -140,7 +136,6 @@ func NewClient(cfg ClientConfig) *Client {
 		ring:      NewRing(cfg.Vnodes),
 		http:      cfg.HTTPClient,
 		downTil:   map[string]time.Time{},
-		jsonOnly:  map[string]bool{},
 		machCache: map[string]*target.Machine{},
 	}
 	if c.http == nil {
@@ -269,7 +264,6 @@ func (c *Client) Stats() ClientStats {
 		Errors:            c.errorsCt.Load(),
 		TopologyRefreshes: c.refreshes.Load(),
 		BinaryRequests:    c.binaryReqs.Load(),
-		JSONFallbacks:     c.jsonFalls.Load(),
 	}
 }
 
@@ -312,8 +306,7 @@ func (c *Client) candidates(key uint64) []string {
 // payload is one request in both wire forms. The JSON body is always
 // present; the binary body (plus the query string that carries what
 // JSON carries inline) exists only when the client could parse every
-// program locally, and an attempt falls back to the JSON form when the
-// node is remembered as JSON-only or answers 415.
+// program locally; an attempt posts the binary form whenever it exists.
 type payload struct {
 	json   []byte
 	binary []byte // nil: JSON only
@@ -370,9 +363,7 @@ func (c *Client) encodeBinary(req *serve.AllocateRequest, texts []string) ([]byt
 // the decoded response and the node that served it. Unless
 // DisableBinary is set, programs the client can parse locally are
 // posted in the binary wire form (application/x-lsra-ir), skipping the
-// server's text parser; a node that answers 415 — an older build
-// without the binary arm — is remembered as JSON-only and the attempt
-// repeats as JSON immediately.
+// server's text parser.
 func (c *Client) Allocate(ctx context.Context, req serve.AllocateRequest) (*serve.AllocateResponse, string, error) {
 	c.requests.Add(1)
 	texts := req.Programs
@@ -483,31 +474,13 @@ func (c *Client) race(ctx context.Context, seq []string, p payload) (*serve.Allo
 	}
 }
 
-// nodeJSONOnly reports whether a node has been demoted to the JSON
-// wire form by an earlier 415.
-func (c *Client) nodeJSONOnly(node string) bool {
-	c.healthMu.Lock()
-	defer c.healthMu.Unlock()
-	return c.jsonOnly[node]
-}
-
-// markJSONOnly remembers, for the client's lifetime, that a node does
-// not speak the binary wire form.
-func (c *Client) markJSONOnly(node string) {
-	c.healthMu.Lock()
-	c.jsonOnly[node] = true
-	c.healthMu.Unlock()
-}
-
 // attempt posts the request to one node, honoring 429 + Retry-After
 // with bounded backoff: the server's explicit please-wait is respected
 // (capped at MaxRetryAfter) up to Max429Retries times before the
-// attempt counts as failed. When the payload carries a binary form and
-// the node is not known to be JSON-only, the binary form goes first; a
-// 415 demotes the node and re-sends the same request as JSON without
-// consuming a 429 retry.
+// attempt counts as failed. When the payload carries a binary form, it
+// is posted as binary; otherwise as JSON.
 func (c *Client) attempt(ctx context.Context, node string, p payload) (*serve.AllocateResponse, error) {
-	useBinary := p.binary != nil && !c.nodeJSONOnly(node)
+	useBinary := p.binary != nil
 	retries := 0
 	for {
 		body, endpoint, ctype := p.json, node+"/allocate", "application/json"
@@ -538,13 +511,6 @@ func (c *Client) attempt(ctx context.Context, node string, p payload) (*serve.Al
 				return nil, fmt.Errorf("bad response body: %w", err)
 			}
 			return &out, nil
-		case resp.StatusCode == http.StatusUnsupportedMediaType && useBinary:
-			// An older node without the binary arm. Remember that and
-			// repeat this attempt as JSON — the request itself is fine.
-			c.jsonFalls.Add(1)
-			c.markJSONOnly(node)
-			useBinary = false
-			continue
 		case resp.StatusCode == http.StatusTooManyRequests && retries < c.cfg.Max429Retries:
 			retries++
 			c.retries429.Add(1)

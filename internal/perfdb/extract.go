@@ -64,11 +64,6 @@ type benchDoc struct {
 			NsPerProgram int64   `json:"ns_per_program"`
 			DecodeShare  float64 `json:"decode_share"`
 		} `json:"alloc"`
-		Pipeline *struct {
-			Lockstep  *pipelineStats `json:"lockstep"`
-			Pipelined *pipelineStats `json:"pipelined"`
-			Speedup   float64        `json:"speedup"`
-		} `json:"pipeline"`
 		ServeDuel *struct {
 			ColdTextNsPerProgram   int64   `json:"cold_text_ns_per_program"`
 			ColdBinaryNsPerProgram int64   `json:"cold_binary_ns_per_program"`
@@ -92,7 +87,6 @@ type benchDoc struct {
 		BinaryNsPerRequest  int64   `json:"binary_ns_per_request"`
 		JSONNsPerRequest    int64   `json:"json_ns_per_request"`
 		BinarySpeedup       float64 `json:"binary_speedup"`
-		JSONFallbacks       uint64  `json:"json_fallbacks"`
 		WarmHitRate         float64 `json:"warm_hit_rate"`
 		UnhedgedP99Ns       int64   `json:"unhedged_p99_ns"`
 		HedgedP99Ns         int64   `json:"hedged_p99_ns"`
@@ -102,17 +96,6 @@ type benchDoc struct {
 		PersistRejectedCost uint64  `json:"persist_rejected_cost"`
 		RestartWarmHitRate  float64 `json:"restart_warm_hit_rate"`
 	} `json:"cluster"`
-}
-
-// pipelineStats is the extractable subset of internal/pipeline.Stats
-// (one side of the corpus section's lockstep-vs-pipelined duel).
-type pipelineStats struct {
-	ProgramsPerSec    float64 `json:"programs_per_sec"`
-	DecodeUtilization float64 `json:"decode_utilization"`
-	AllocUtilization  float64 `json:"alloc_utilization"`
-	DecodeStallNs     int64   `json:"decode_stall_ns"`
-	AllocStallNs      int64   `json:"alloc_stall_ns"`
-	AvgRingOccupancy  float64 `json:"avg_ring_occupancy"`
 }
 
 // Extract flattens one lsra-bench JSON document into a Record. Stamped
@@ -196,15 +179,16 @@ func Extract(data []byte, fallback Meta) (*Record, error) {
 		put("serve_cache_hit_rate", s.CacheHitRate)
 	}
 
-	// Binary-codec corpus ladder: decode throughput per rung (keyed by a
-	// compact rung name — 100000 → "100k", 1000000 → "1m"), the
-	// decode+allocate pipeline rate, and the cold-serve wire-format duel.
+	// Binary-codec corpus ladder: decode-only throughput per rung (keyed
+	// by a compact rung name — 100000 → "100k", 1000000 → "1m"; these
+	// are decode rates, not allocation rates), the decode+allocate
+	// rate, and the cold-serve wire-format duel.
 	if c := doc.Corpus; c != nil {
 		for _, r := range c.Rungs {
 			name := rungName(r.Programs)
-			put("corpus_programs_per_sec_"+name, r.ProgramsPerSec)
-			put("corpus_mb_per_sec_"+name, r.MBPerSec)
-			put("corpus_allocs_per_program_"+name, r.AllocsPerProgram)
+			put("corpus_decode_programs_per_sec_"+name, r.ProgramsPerSec)
+			put("corpus_decode_mb_per_sec_"+name, r.MBPerSec)
+			put("corpus_decode_allocs_per_program_"+name, r.AllocsPerProgram)
 		}
 		if a := c.Alloc; a != nil {
 			put("corpus_alloc_ns", float64(a.NsPerProgram))
@@ -217,22 +201,6 @@ func Extract(data []byte, fallback Meta) (*Record, error) {
 		}
 		if c.Shards > 0 {
 			put("corpus_shard_count", float64(c.Shards))
-		}
-		// Decode-ahead pipeline duel: the pipelined side's throughput and
-		// stage health, with the lockstep baseline for the same input.
-		if p := c.Pipeline; p != nil {
-			put("pipeline_speedup", p.Speedup)
-			if ls := p.Lockstep; ls != nil {
-				put("pipeline_lockstep_programs_per_sec", ls.ProgramsPerSec)
-			}
-			if ps := p.Pipelined; ps != nil {
-				put("pipeline_programs_per_sec", ps.ProgramsPerSec)
-				put("pipeline_decode_utilization", ps.DecodeUtilization)
-				put("pipeline_alloc_utilization", ps.AllocUtilization)
-				put("pipeline_decode_stall_ns", float64(ps.DecodeStallNs))
-				put("pipeline_alloc_stall_ns", float64(ps.AllocStallNs))
-				put("pipeline_ring_occupancy", ps.AvgRingOccupancy)
-			}
 		}
 	}
 
@@ -270,7 +238,6 @@ func Extract(data []byte, fallback Meta) (*Record, error) {
 			put("cluster_binary_ns", float64(cs.BinaryNsPerRequest))
 			put("cluster_json_ns", float64(cs.JSONNsPerRequest))
 			put("cluster_binary_speedup", cs.BinarySpeedup)
-			put("cluster_json_fallbacks", float64(cs.JSONFallbacks))
 		}
 	}
 

@@ -37,14 +37,6 @@ func stampedDoc(t *testing.T, commit string, at time.Time, serveCold, scanNs flo
 			},
 			"alloc":      map[string]any{"ns_per_program": 1.9e6, "decode_share": 0.011},
 			"serve_duel": map[string]any{"cold_text_ns_per_program": 2.4e6, "cold_binary_ns_per_program": 1.6e6, "speedup": 1.5},
-			"pipeline": map[string]any{
-				"lockstep": map[string]any{"programs_per_sec": 600.0},
-				"pipelined": map[string]any{
-					"programs_per_sec": 630.0, "decode_utilization": 0.016, "alloc_utilization": 0.99,
-					"decode_stall_ns": 1.7e9, "alloc_stall_ns": 4.2e6, "avg_ring_occupancy": 14.7,
-				},
-				"speedup": 1.05,
-			},
 		},
 		"cluster": map[string]any{
 			"cold_ns_per_request":   3.1e6,
@@ -60,7 +52,6 @@ func stampedDoc(t *testing.T, commit string, at time.Time, serveCold, scanNs flo
 			"binary_ns_per_request": 1.2e6,
 			"json_ns_per_request":   1.5e6,
 			"binary_speedup":        1.25,
-			"json_fallbacks":        0,
 		},
 		"quality": map[string]any{
 			"points":     168,
@@ -91,64 +82,55 @@ func TestExtractStampedDocument(t *testing.T) {
 		t.Fatalf("meta = %+v", rec.Meta)
 	}
 	want := map[string]float64{
-		"serve_cold_ns":                      2.9e6,
-		"serve_warm_ns":                      1.45e6,
-		"serve_speedup":                      2.0,
-		"serve_cache_hit_rate":               0.99,
-		"corpus_programs_per_sec_100k":       51000,
-		"corpus_mb_per_sec_100k":             142,
-		"corpus_allocs_per_program_1m":       0,
-		"corpus_programs_per_sec_1m":         52000,
-		"corpus_alloc_ns":                    1.9e6,
-		"corpus_decode_share":                0.011,
-		"corpus_shard_count":                 16,
-		"pipeline_speedup":                   1.05,
-		"pipeline_lockstep_programs_per_sec": 600,
-		"pipeline_programs_per_sec":          630,
-		"pipeline_decode_utilization":        0.016,
-		"pipeline_alloc_utilization":         0.99,
-		"pipeline_decode_stall_ns":           1.7e9,
-		"pipeline_alloc_stall_ns":            4.2e6,
-		"pipeline_ring_occupancy":            14.7,
-		"serve_cold_text_ns":                 2.4e6,
-		"serve_cold_binary_ns":               1.6e6,
-		"serve_binary_speedup":               1.5,
-		"cluster_cold_ns":                    3.1e6,
-		"cluster_warm_ns":                    1.6e6,
-		"cluster_warm_hit_rate":              1.0,
-		"cluster_unhedged_p99_ns":            2.9e7,
-		"cluster_hedged_p99_ns":              1.1e7,
-		"cluster_hedge_wins":                 12,
-		"cluster_tail_speedup_p99":           2.6,
-		"cluster_persist_admitted":           6,
-		"cluster_persist_rejected_cost":      10,
-		"cluster_restart_warm_hit_rate":      1.0,
-		"cluster_binary_ns":                  1.2e6,
-		"cluster_json_ns":                    1.5e6,
-		"cluster_binary_speedup":             1.25,
-		"cluster_json_fallbacks":             0,
-		"quality_points_total":               168,
-		"quality_points_eligible":            49,
-		"quality_envelope_violations":        0,
-		"quality_gap_binpack":                2.602,
-		"quality_gap_max_binpack":            632,
-		"quality_spill_ops_binpack":          95752,
-		"quality_gap_oracle":                 1.0,
-		"quality_gap_max_oracle":             1.0,
-		"quality_spill_ops_oracle":           34414,
-		"phase.scan.ns":                      49000,
-		"phase.scan.allocs":                  7,
-		"alloc.wc.wall_ns":                   236367,
-		"alloc.wc.heap_allocs":               358,
-		"alloc.wc.spilled":                   3,
-		"alloc.wc.max_rss_bytes":             32 << 20,
-		"alloc.wc.user_cpu_ns":               5e6,
-		"alloc.total.wall_ns":                236367,
-		"rusage.max_rss_bytes":               64 << 20,
-		"rusage.user_cpu_ns":                 9e6,
-		"rusage.sys_cpu_ns":                  2e6,
-		"rusage.gc.cycles":                   5,
-		"rusage.gc.heap_alloc_bytes":         1 << 20,
+		"serve_cold_ns":                       2.9e6,
+		"serve_warm_ns":                       1.45e6,
+		"serve_speedup":                       2.0,
+		"serve_cache_hit_rate":                0.99,
+		"corpus_decode_programs_per_sec_100k": 51000,
+		"corpus_decode_mb_per_sec_100k":       142,
+		"corpus_decode_allocs_per_program_1m": 0,
+		"corpus_decode_programs_per_sec_1m":   52000,
+		"corpus_alloc_ns":                     1.9e6,
+		"corpus_decode_share":                 0.011,
+		"corpus_shard_count":                  16,
+		"serve_cold_text_ns":                  2.4e6,
+		"serve_cold_binary_ns":                1.6e6,
+		"serve_binary_speedup":                1.5,
+		"cluster_cold_ns":                     3.1e6,
+		"cluster_warm_ns":                     1.6e6,
+		"cluster_warm_hit_rate":               1.0,
+		"cluster_unhedged_p99_ns":             2.9e7,
+		"cluster_hedged_p99_ns":               1.1e7,
+		"cluster_hedge_wins":                  12,
+		"cluster_tail_speedup_p99":            2.6,
+		"cluster_persist_admitted":            6,
+		"cluster_persist_rejected_cost":       10,
+		"cluster_restart_warm_hit_rate":       1.0,
+		"cluster_binary_ns":                   1.2e6,
+		"cluster_json_ns":                     1.5e6,
+		"cluster_binary_speedup":              1.25,
+		"quality_points_total":                168,
+		"quality_points_eligible":             49,
+		"quality_envelope_violations":         0,
+		"quality_gap_binpack":                 2.602,
+		"quality_gap_max_binpack":             632,
+		"quality_spill_ops_binpack":           95752,
+		"quality_gap_oracle":                  1.0,
+		"quality_gap_max_oracle":              1.0,
+		"quality_spill_ops_oracle":            34414,
+		"phase.scan.ns":                       49000,
+		"phase.scan.allocs":                   7,
+		"alloc.wc.wall_ns":                    236367,
+		"alloc.wc.heap_allocs":                358,
+		"alloc.wc.spilled":                    3,
+		"alloc.wc.max_rss_bytes":              32 << 20,
+		"alloc.wc.user_cpu_ns":                5e6,
+		"alloc.total.wall_ns":                 236367,
+		"rusage.max_rss_bytes":                64 << 20,
+		"rusage.user_cpu_ns":                  9e6,
+		"rusage.sys_cpu_ns":                   2e6,
+		"rusage.gc.cycles":                    5,
+		"rusage.gc.heap_alloc_bytes":          1 << 20,
 	}
 	for name, v := range want {
 		if got, ok := rec.Series[name]; !ok || got != v {

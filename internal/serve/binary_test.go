@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/ir"
 	"repro/internal/irbin"
 	"repro/internal/target"
@@ -35,55 +36,69 @@ func postBinary(t *testing.T, url string, query string, frames []byte, wantCode 
 
 // TestAllocateBinaryConformance proves the binary arm of /allocate is
 // observationally identical to the text arm: the same program sent both
-// ways yields the same content-address key, the same allocated program
-// text, and the same report shape.
+// ways, each form to its own fresh server so both are cache misses,
+// yields the same content-address key and the same allocated program
+// text. Inputs are one tiny-machine program plus one x86-8 program per
+// generator profile, all under binpack.
 func TestAllocateBinaryConformance(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	const machine = "tiny:6,4"
-	text := workloadText(t, machine, 3)
-
-	var fromText AllocateResponse
-	post(t, ts.URL, AllocateRequest{Machine: machine, Program: text}, http.StatusOK, &fromText)
-
-	mach0, err := target.Parse(machine)
+	type input struct {
+		name, machine, text string
+	}
+	inputs := []input{{"tiny/default", "tiny:6,4", workloadText(t, "tiny:6,4", 3)}}
+	const preset = "x86-8"
+	x86, err := target.Parse(preset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ir.ParseProgramString(text, mach0)
+	jobs, err := experiments.Workload(x86, nil, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fromBin AllocateResponse
-	postBinary(t, ts.URL, "machine="+machine, irbin.EncodeProgram(prog), http.StatusOK, &fromBin)
-
-	if len(fromBin.Results) != 1 {
-		t.Fatalf("%d results, want 1", len(fromBin.Results))
-	}
-	tr, br := fromText.Results[0], fromBin.Results[0]
-	if br.Key != tr.Key {
-		t.Errorf("binary key %s != text key %s: the two front ends hit different cache lines", br.Key, tr.Key)
-	}
-	if br.Program != tr.Program {
-		t.Errorf("binary and text arms allocated differently:\ntext:\n%s\nbinary:\n%s", tr.Program, br.Program)
-	}
-	if !br.Cached {
-		t.Error("binary request after identical text request missed the cache")
-	}
-	if br.Report == nil {
-		t.Error("binary response missing report")
+	for _, job := range jobs {
+		inputs = append(inputs, input{preset + "/" + job.Profile, preset, job.Text})
 	}
 
-	// Allocated output must still be valid, independently of the duel.
-	mach, err := target.Parse(machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocated, err := ir.ParseProgramString(br.Program, mach)
-	if err != nil {
-		t.Fatalf("binary response program does not parse: %v", err)
-	}
-	if err := ir.ValidateAllocated(allocated.Proc("main"), mach); err != nil {
-		t.Errorf("binary response not validly allocated: %v", err)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			mach, err := target.Parse(in.machine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := ir.ParseProgramString(in.text, mach)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, textSrv := newTestServer(t, Config{})
+			var fromText AllocateResponse
+			post(t, textSrv.URL, AllocateRequest{Machine: in.machine, Algorithm: "binpack", Program: in.text}, http.StatusOK, &fromText)
+			_, binSrv := newTestServer(t, Config{})
+			var fromBin AllocateResponse
+			postBinary(t, binSrv.URL, "machine="+in.machine+"&algorithm=binpack", irbin.EncodeProgram(prog), http.StatusOK, &fromBin)
+
+			if len(fromBin.Results) != 1 {
+				t.Fatalf("%d results, want 1", len(fromBin.Results))
+			}
+			tr, br := fromText.Results[0], fromBin.Results[0]
+			if tr.Cached || br.Cached {
+				t.Fatalf("fresh servers answered from cache (text %v, binary %v)", tr.Cached, br.Cached)
+			}
+			if br.Key != tr.Key {
+				t.Errorf("binary key %s != text key %s: the two front ends hit different cache lines", br.Key, tr.Key)
+			}
+			if br.Program != tr.Program {
+				t.Errorf("binary and text arms allocated differently:\ntext:\n%s\nbinary:\n%s", tr.Program, br.Program)
+			}
+			if br.Report == nil {
+				t.Error("binary response missing report")
+			}
+			allocated, err := ir.ParseProgramString(br.Program, mach)
+			if err != nil {
+				t.Fatalf("binary response program does not parse: %v", err)
+			}
+			if err := ir.ValidateAllocated(allocated.Proc("main"), mach); err != nil {
+				t.Errorf("binary response not validly allocated: %v", err)
+			}
+		})
 	}
 }
 
