@@ -82,11 +82,14 @@ type corpusRung struct {
 	AllocsPerProgram float64 `json:"allocs_per_program"`
 }
 
-// corpusAlloc is the decode+allocate measurement.
+// corpusAlloc is the decode+allocate measurement. Workers is the
+// number of engines the loop ran; NsPerProgram is its wall time over
+// Programs, so it shrinks as Workers grows.
 type corpusAlloc struct {
 	Programs       int     `json:"programs"`
 	Machine        string  `json:"machine"`
 	Algorithm      string  `json:"algorithm"`
+	Workers        int     `json:"workers"`
 	NsPerProgram   int64   `json:"ns_per_program"`
 	ProgramsPerSec float64 `json:"programs_per_sec"`
 	// DecodeShare is decode's fraction of the combined cost: the first
@@ -316,6 +319,7 @@ func runCorpusAlloc(r *corpus.Set, arenas []*irbin.Arena, n int) (*corpusAlloc, 
 		Programs:     n,
 		Machine:      machine,
 		Algorithm:    engines[0].Algorithm(),
+		Workers:      len(engines),
 		NsPerProgram: elapsed.Nanoseconds() / int64(n),
 	}
 	if s := elapsed.Seconds(); s > 0 {

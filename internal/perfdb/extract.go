@@ -61,6 +61,7 @@ type benchDoc struct {
 			AllocsPerProgram float64 `json:"allocs_per_program"`
 		} `json:"rungs"`
 		Alloc *struct {
+			Workers      int     `json:"workers"`
 			NsPerProgram int64   `json:"ns_per_program"`
 			DecodeShare  float64 `json:"decode_share"`
 		} `json:"alloc"`
@@ -191,7 +192,15 @@ func Extract(data []byte, fallback Meta) (*Record, error) {
 			put("corpus_decode_allocs_per_program_"+name, r.AllocsPerProgram)
 		}
 		if a := c.Alloc; a != nil {
-			put("corpus_alloc_ns", float64(a.NsPerProgram))
+			// Documents with alloc.workers time the shard-per-worker
+			// loop: wall ns over W engines, a series of its own. Older
+			// ones timed one serial engine and keep corpus_alloc_ns.
+			if a.Workers > 0 {
+				put("corpus_alloc_wall_ns", float64(a.NsPerProgram))
+				put("corpus_alloc_workers", float64(a.Workers))
+			} else {
+				put("corpus_alloc_ns", float64(a.NsPerProgram))
+			}
 			put("corpus_decode_share", a.DecodeShare)
 		}
 		if d := c.ServeDuel; d != nil {

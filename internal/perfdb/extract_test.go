@@ -35,7 +35,7 @@ func stampedDoc(t *testing.T, commit string, at time.Time, serveCold, scanNs flo
 				{"programs": 100000, "programs_per_sec": 51000.0, "mb_per_sec": 142.0, "allocs_per_program": 0.0},
 				{"programs": 1000000, "programs_per_sec": 52000.0, "mb_per_sec": 145.0, "allocs_per_program": 0.0},
 			},
-			"alloc":      map[string]any{"ns_per_program": 1.9e6, "decode_share": 0.011},
+			"alloc":      map[string]any{"workers": 4, "ns_per_program": 1.9e6, "decode_share": 0.011},
 			"serve_duel": map[string]any{"cold_text_ns_per_program": 2.4e6, "cold_binary_ns_per_program": 1.6e6, "speedup": 1.5},
 		},
 		"cluster": map[string]any{
@@ -90,7 +90,8 @@ func TestExtractStampedDocument(t *testing.T) {
 		"corpus_decode_mb_per_sec_100k":       142,
 		"corpus_decode_allocs_per_program_1m": 0,
 		"corpus_decode_programs_per_sec_1m":   52000,
-		"corpus_alloc_ns":                     1.9e6,
+		"corpus_alloc_wall_ns":                1.9e6,
+		"corpus_alloc_workers":                4,
 		"corpus_decode_share":                 0.011,
 		"corpus_shard_count":                  16,
 		"serve_cold_text_ns":                  2.4e6,
@@ -135,6 +136,32 @@ func TestExtractStampedDocument(t *testing.T) {
 	for name, v := range want {
 		if got, ok := rec.Series[name]; !ok || got != v {
 			t.Errorf("series[%q] = %v (present=%v), want %v", name, got, ok, v)
+		}
+	}
+	if _, ok := rec.Series["corpus_alloc_ns"]; ok {
+		t.Error("multi-worker decode+allocate landed in the serial corpus_alloc_ns series")
+	}
+}
+
+// TestExtractSerialCorpusAlloc pins the split between the two
+// decode+allocate series: BENCH_8.json predates alloc.workers (it timed
+// one serial engine), so it keeps corpus_alloc_ns and never lands on
+// the wall-time series of the shard-per-worker loop.
+func TestExtractSerialCorpusAlloc(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Extract(data, Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Series["corpus_alloc_ns"]; got != 1775654 {
+		t.Errorf("corpus_alloc_ns = %v, want 1775654", got)
+	}
+	for _, name := range []string{"corpus_alloc_wall_ns", "corpus_alloc_workers"} {
+		if _, ok := rec.Series[name]; ok {
+			t.Errorf("serial document produced %q", name)
 		}
 	}
 }

@@ -38,7 +38,9 @@ func postBinary(t *testing.T, url string, query string, frames []byte, wantCode 
 // observationally identical to the text arm: the same program sent both
 // ways, each form to its own fresh server so both are cache misses,
 // yields the same content-address key and the same allocated program
-// text. Inputs are one tiny-machine program plus one x86-8 program per
+// text. The binary body then goes to the text server too and must hit
+// the entry the text arm stored, so the two arms share one cache.
+// Inputs are one tiny-machine program plus one x86-8 program per
 // generator profile, all under binpack.
 func TestAllocateBinaryConformance(t *testing.T) {
 	type input struct {
@@ -71,9 +73,13 @@ func TestAllocateBinaryConformance(t *testing.T) {
 			_, textSrv := newTestServer(t, Config{})
 			var fromText AllocateResponse
 			post(t, textSrv.URL, AllocateRequest{Machine: in.machine, Algorithm: "binpack", Program: in.text}, http.StatusOK, &fromText)
+			query := "machine=" + in.machine + "&algorithm=binpack"
+			frame := irbin.EncodeProgram(prog)
 			_, binSrv := newTestServer(t, Config{})
 			var fromBin AllocateResponse
-			postBinary(t, binSrv.URL, "machine="+in.machine+"&algorithm=binpack", irbin.EncodeProgram(prog), http.StatusOK, &fromBin)
+			postBinary(t, binSrv.URL, query, frame, http.StatusOK, &fromBin)
+			var binHit AllocateResponse
+			postBinary(t, textSrv.URL, query, frame, http.StatusOK, &binHit)
 
 			if len(fromBin.Results) != 1 {
 				t.Fatalf("%d results, want 1", len(fromBin.Results))
@@ -90,6 +96,14 @@ func TestAllocateBinaryConformance(t *testing.T) {
 			}
 			if br.Report == nil {
 				t.Error("binary response missing report")
+			}
+			if len(binHit.Results) != 1 {
+				t.Fatalf("%d results from the text server's binary arm, want 1", len(binHit.Results))
+			}
+			if hr := binHit.Results[0]; !hr.Cached {
+				t.Error("binary body missed the entry the text body stored: the arms do not share one cache")
+			} else if hr.Key != tr.Key || hr.Program != tr.Program {
+				t.Errorf("binary cache hit differs from the text miss: key %s vs %s, program equal %v", hr.Key, tr.Key, hr.Program == tr.Program)
 			}
 			allocated, err := ir.ParseProgramString(br.Program, mach)
 			if err != nil {
