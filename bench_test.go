@@ -27,10 +27,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/experiments"
+	"repro/internal/ir"
 	"repro/internal/irbin"
 	"repro/internal/progs"
 	"repro/internal/serve"
 	"repro/internal/target"
+	"repro/internal/verify"
 	"repro/internal/vm"
 )
 
@@ -354,4 +356,35 @@ func BenchmarkAblationStrictLinear(b *testing.B) {
 			return core.New(m, o)
 		})
 	})
+}
+
+// BenchmarkVerify measures the symbolic verifier alone: every procedure
+// of binpack's pre-peephole output for fpppp at its default scale on
+// alpha, the output alloc.Pipeline hands the verifier. Its scratch is
+// pooled, so once warm a verify allocates nothing; allocs/op must stay 0.
+func BenchmarkVerify(b *testing.B) {
+	mach := target.Alpha()
+	bench := progs.Named("fpppp")
+	a := experiments.Binpack(mach)
+	var procs []*ir.Proc
+	for _, p := range bench.Build(mach, bench.DefaultScale).Procs {
+		res, err := a.Allocate(alloc.Prepare(p, nil, nil))
+		if err != nil {
+			b.Fatal(err)
+		}
+		procs = append(procs, res.Proc)
+	}
+	verifyAll := func() {
+		for _, p := range procs {
+			if err := verify.Verify(p, mach); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	verifyAll() // warmup: size the pooled scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		verifyAll()
+	}
 }

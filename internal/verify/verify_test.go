@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -246,5 +248,112 @@ func TestMergeRequiresAgreement(t *testing.T) {
 	}
 	if err := Verify(p, mach); err != nil {
 		t.Fatalf("resolved join rejected: %v", err)
+	}
+}
+
+// TestVerifyLeavesInputUntouched: Verify only reads its input. The
+// printed procedure and the spare capacity behind every operand slice
+// are unchanged afterwards, including for an instruction whose Uses has
+// room to spare right where an append of its Defs would land.
+func TestVerifyLeavesInputUntouched(t *testing.T) {
+	mach := target.Tiny(6, 3)
+	p, x, r1, r2 := handProc(mach)
+	uses := make([]ir.Operand, 2, 4)
+	uses[0], uses[1] = ir.RegOp(r1), ir.ImmOp(1)
+	uses[:4][2], uses[:4][3] = ir.ImmOp(77), ir.ImmOp(78)
+	p.Blocks[0].Instrs[1] = ir.Instr{Op: ir.Add, Defs: []ir.Operand{ir.RegOp(r2)}, Uses: uses,
+		OrigDefs: []ir.Temp{ir.NoTemp}, OrigUses: []ir.Temp{x, ir.NoTemp}}
+	snapshot := func() (string, [][]ir.Operand) {
+		var spare [][]ir.Operand
+		for _, b := range p.Blocks {
+			for _, in := range b.Instrs {
+				for _, ops := range [][]ir.Operand{in.Uses, in.Defs} {
+					spare = append(spare, append([]ir.Operand(nil), ops[len(ops):cap(ops)]...))
+				}
+			}
+		}
+		return ir.ProcString(p), spare
+	}
+	text, spare := snapshot()
+	if err := Verify(p, mach); err != nil {
+		t.Fatal(err)
+	}
+	text2, spare2 := snapshot()
+	if text2 != text {
+		t.Fatalf("procedure changed:\n%s\nwant:\n%s", text2, text)
+	}
+	if !reflect.DeepEqual(spare2, spare) {
+		t.Fatalf("spare operand capacity changed: %v, want %v", spare2, spare)
+	}
+}
+
+// TestRejectsOutOfRangeLocation: the dense state indexes by register
+// and slot number, so a register outside the machine or a negative slot
+// is an error, never a panic (a register past NumRegs reaching a call
+// used to panic in CallerSaved), and so is a slot number too far from
+// the others to index densely.
+func TestRejectsOutOfRangeLocation(t *testing.T) {
+	mach := target.Tiny(6, 3)
+	for _, tc := range []struct {
+		name string
+		op   ir.Operand
+	}{
+		{"register past NumRegs", ir.RegOp(target.Reg(mach.NumRegs()))},
+		{"register 99", ir.RegOp(99)},
+		{"negative register", ir.RegOp(-1)},
+		{"negative slot", ir.SlotOp(-1, ir.NoTemp)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, _, _, _ := handProc(mach)
+			blk := p.Blocks[0]
+			call := ir.Instr{Op: ir.Call, Uses: []ir.Operand{ir.SymOp("getc")},
+				Defs: []ir.Operand{ir.RegOp(mach.RetReg(target.ClassInt))}}
+			blk.Instrs[0].Defs[0] = tc.op
+			blk.Instrs = []ir.Instr{blk.Instrs[0], call, blk.Instrs[1], blk.Instrs[2]}
+			err := Verify(p, mach)
+			if err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("got %v, want an out-of-range error", err)
+			}
+		})
+	}
+
+	// Two slots 2^40 apart: too sparse to number densely.
+	p, _, _, _ := handProc(mach)
+	p.Blocks[0].Instrs[0].Defs[0] = ir.SlotOp(0, ir.NoTemp)
+	p.Blocks[0].Instrs[1].Defs[0] = ir.SlotOp(1<<40, ir.NoTemp)
+	if err := Verify(p, mach); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("sparse slots: got %v, want an out-of-range error", err)
+	}
+}
+
+// TestHighSlotNumbers: slots are numbered from the lowest one an
+// operand names, so a frame whose slots start far from zero (NumSlots
+// arrives unchecked in binary bodies) verifies like one starting at
+// zero, and errors still name the real slot.
+func TestHighSlotNumbers(t *testing.T) {
+	mach := target.Tiny(6, 3)
+	p, x, r1, r2 := handProc(mach)
+	p.NumSlots = 1 << 40
+	slot := ir.SlotOp(p.NewSlot(), x)
+	blk := p.Blocks[0]
+	def := blk.Instrs[0]
+	use := ir.Instr{Op: ir.Add, Defs: []ir.Operand{ir.RegOp(r1)}, Uses: []ir.Operand{ir.RegOp(r2), ir.ImmOp(1)},
+		OrigDefs: []ir.Temp{ir.NoTemp}, OrigUses: []ir.Temp{x, ir.NoTemp}}
+	blk.Instrs = []ir.Instr{
+		def,
+		{Op: ir.SpillSt, Uses: []ir.Operand{ir.RegOp(r1), slot}},
+		{Op: ir.SpillLd, Defs: []ir.Operand{ir.RegOp(r2)}, Uses: []ir.Operand{slot}},
+		use,
+		{Op: ir.Ret},
+	}
+	if err := Verify(p, mach); err != nil {
+		t.Fatalf("spill round trip through a high slot rejected: %v", err)
+	}
+	// Redefine x after the store: the slot's copy is stale.
+	blk.Instrs = []ir.Instr{def, blk.Instrs[1], def, {Op: ir.Add, Defs: []ir.Operand{ir.RegOp(r2)},
+		Uses: []ir.Operand{slot, ir.ImmOp(1)}, OrigDefs: []ir.Temp{ir.NoTemp}, OrigUses: []ir.Temp{x, ir.NoTemp}}, {Op: ir.Ret}}
+	err := Verify(p, mach)
+	if want := "reads slot1099511627776 which holds unknown"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %v, want an error containing %q", err, want)
 	}
 }
