@@ -6,29 +6,29 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/ir"
 	"repro/internal/irbin"
 )
 
 // CacheKey content-addresses one allocation request: it is a
-// cryptographic digest over the program's canonical textual form (plus
-// its initial memory image), the machine's convention-complete spec
-// (target.Machine.Spec), and the engine configuration that affects the
-// output (algorithm and pass toggles). Two requests
+// cryptographic digest over the program's canonical internal/irbin
+// frame, the machine's convention-complete spec (target.Machine.Spec),
+// and the engine configuration that affects the output (algorithm and
+// pass toggles). The frame carries everything the allocator reads,
+// including what the text form leaves implicit (temp numbering, each
+// procedure's slot count, the initial memory image), so two requests
 // share a key exactly when the engine would produce the same allocated
-// program for both, so a cached result can be substituted for a fresh
-// allocation without re-running any pipeline phase.
+// program for both, and a cached result can be substituted for a fresh
+// allocation without re-running any pipeline phase. A text body and
+// the binary body encoding its parsed program share a key.
 type CacheKey string
 
 // CachedAllocation is one immutable cache entry: the allocated program
 // as its canonical internal/irbin frame, and the report of the
 // allocation that produced it. The frame holds no pointers, so a large
-// cache costs the garbage collector nothing to scan, and it is the
-// same bytes the disk tier and cluster replication carry. Entries are
+// cache costs the garbage collector nothing to scan. Entries are
 // shared between all cache readers and must never be mutated; the
 // engine decodes a fresh program (and copies the report) on every hit,
 // so callers always own what AllocateCached returns.
@@ -74,26 +74,6 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// HotEntry pairs a cache key with its entry, as returned by HotLister.
-type HotEntry struct {
-	Key   CacheKey
-	Entry *CachedAllocation
-}
-
-// HotLister is an optional ResultCache capability: caches that track
-// recency can enumerate their hottest (most recently used) entries.
-// The cluster layer uses it to replicate a node's hot working set to
-// its ring successor before the node leaves, and to warm a joining
-// node from the successor that previously owned its key range.
-// NewShardedCache implements it; the tiered cache delegates to its
-// fast tier.
-type HotLister interface {
-	// Hottest returns up to n entries in roughly
-	// most-recently-used-first order. The entries are shared and must
-	// be treated as immutable.
-	Hottest(n int) []HotEntry
-}
-
 // WithCache installs a result cache consulted by AllocateCached. The
 // same cache may back several engines (even for different machines or
 // algorithms): the cache key covers the machine and configuration, so
@@ -117,23 +97,19 @@ func (e *Engine) configFingerprint() string {
 		e.algorithm, e.pipe.ForwardStores, e.pipe.Verify)
 }
 
+// keyFrames recycles the buffers CacheKey encodes programs into.
+var keyFrames = sync.Pool{New: func() any { return new([]byte) }}
+
 // CacheKey computes the content address AllocateCached uses for prog on
-// this engine: sha256 over the engine configuration, the machine spec,
-// the program's canonical text, and its initial memory image.
+// this engine: sha256 over the engine configuration, the machine spec
+// and the program's canonical irbin frame.
 func (e *Engine) CacheKey(prog *Program) CacheKey {
+	buf := keyFrames.Get().(*[]byte)
+	*buf = irbin.AppendProgram((*buf)[:0], prog)
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s", e.configFingerprint(), e.mach.Spec())
-	(&ir.Printer{}).WriteProgram(h, prog)
-	if len(prog.MemInit) > 0 {
-		addrs := make([]int, 0, len(prog.MemInit))
-		for a := range prog.MemInit {
-			addrs = append(addrs, a)
-		}
-		sort.Ints(addrs)
-		for _, a := range addrs {
-			fmt.Fprintf(h, "mem[%d]=%d\n", a, prog.MemInit[a])
-		}
-	}
+	fmt.Fprintf(h, "%s\n%s\n", e.configFingerprint(), e.mach.Spec())
+	h.Write(*buf)
+	keyFrames.Put(buf)
 	return CacheKey(fmt.Sprintf("sha256:%x", h.Sum(nil)))
 }
 
@@ -294,46 +270,6 @@ func (c *shardedCache) Put(key CacheKey, e *CachedAllocation) {
 	}
 }
 
-// Hottest implements HotLister: it takes entries from the
-// most-recently-used end of every shard's LRU list, round-robin, so the
-// result is approximately MRU-first across the whole cache (exact order
-// between shards is not tracked — the hits that matter for replication
-// are "in the working set or not", not their exact rank).
-func (c *shardedCache) Hottest(n int) []HotEntry {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]HotEntry, 0, n)
-	// els[i] walks shard i front→back.
-	els := make([]*list.Element, len(c.shards))
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		els[i] = c.shards[i].lru.Front()
-	}
-	for len(out) < n {
-		advanced := false
-		for i := range els {
-			if els[i] == nil {
-				continue
-			}
-			e := els[i].Value.(*lruEntry)
-			out = append(out, HotEntry{Key: e.key, Entry: e.val})
-			els[i] = els[i].Next()
-			advanced = true
-			if len(out) == n {
-				break
-			}
-		}
-		if !advanced {
-			break
-		}
-	}
-	for i := range c.shards {
-		c.shards[i].mu.Unlock()
-	}
-	return out
-}
-
 func (c *shardedCache) Stats() CacheStats {
 	st := CacheStats{
 		Hits:      c.hits.Load(),
@@ -348,73 +284,4 @@ func (c *shardedCache) Stats() CacheStats {
 		s.mu.Unlock()
 	}
 	return st
-}
-
-// TieredCache chains a fast (memory) tier in front of a slow
-// (persistent) tier behind the one ResultCache interface. Gets consult
-// the fast tier first and promote slow-tier hits into it; Puts write
-// both tiers, leaving the slow tier free to refuse entries by policy
-// (cost-aware admission in internal/diskcache). Build with
-// NewTieredCache; the serving daemon assembles one when started with a
-// persistence directory, which is how warm entries survive a restart.
-type TieredCache struct {
-	fast, slow ResultCache
-}
-
-// NewTieredCache composes a fast and a slow ResultCache into one.
-func NewTieredCache(fast, slow ResultCache) *TieredCache {
-	return &TieredCache{fast: fast, slow: slow}
-}
-
-// Get consults the fast tier, then the slow tier (promoting a hit into
-// the fast tier so the disk is read once per working-set entry).
-func (t *TieredCache) Get(key CacheKey) (*CachedAllocation, bool) {
-	if e, ok := t.fast.Get(key); ok {
-		return e, true
-	}
-	e, ok := t.slow.Get(key)
-	if !ok {
-		return nil, false
-	}
-	t.fast.Put(key, e)
-	return e, true
-}
-
-// Put stores into both tiers; the slow tier applies its own admission
-// policy and may decline.
-func (t *TieredCache) Put(key CacheKey, e *CachedAllocation) {
-	t.fast.Put(key, e)
-	t.slow.Put(key, e)
-}
-
-// Stats reports the composite view a caller of the plain interface
-// expects: lookups counted once (the fast tier sees every Get), entries
-// and capacity summed across tiers. Per-tier numbers are available via
-// TierStats.
-func (t *TieredCache) Stats() CacheStats {
-	fast, slow := t.fast.Stats(), t.slow.Stats()
-	return CacheStats{
-		Entries:  fast.Entries + slow.Entries,
-		Capacity: fast.Capacity + slow.Capacity,
-		// A composite hit is a hit in either tier; every Get reaches the
-		// fast tier, and only fast misses reach the slow tier.
-		Hits:      fast.Hits + slow.Hits,
-		Misses:    slow.Misses,
-		Evictions: fast.Evictions + slow.Evictions,
-	}
-}
-
-// TierStats returns the fast and slow tiers' own counters.
-func (t *TieredCache) TierStats() (fast, slow CacheStats) {
-	return t.fast.Stats(), t.slow.Stats()
-}
-
-// Hottest implements HotLister by delegating to the fast tier (the
-// recency signal lives there); a fast tier without the capability
-// yields nil.
-func (t *TieredCache) Hottest(n int) []HotEntry {
-	if hl, ok := t.fast.(HotLister); ok {
-		return hl.Hottest(n)
-	}
-	return nil
 }

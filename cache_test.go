@@ -74,6 +74,14 @@ func TestCacheKeyDeterminism(t *testing.T) {
 	if eng.CacheKey(pm) == base {
 		t.Error("MemInit change did not change the cache key")
 	}
+
+	// So is what the text form leaves implicit: a procedure's slot count
+	// moves the spill slots the allocator hands out.
+	ps := cacheProg(m, 7)
+	ps.Procs[0].NumSlots += 3
+	if eng.CacheKey(ps) == k1 {
+		t.Error("slot-count change did not change the cache key")
+	}
 }
 
 // countingAllocator wraps binpack and counts the procedures it

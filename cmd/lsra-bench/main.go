@@ -66,10 +66,6 @@ type benchOutput struct {
 	// workload replayed over HTTP against an in-process lsra-served,
 	// cold pass (cache misses) vs. warm passes (cache hits).
 	Serve *serveBench `json:"serve,omitempty"`
-	// Cluster is the sharded-service measurement: consistent-hash
-	// routing over three nodes, the hedged-request tail-latency duel,
-	// cost-aware disk admission, and the restart-warm hit rate.
-	Cluster *clusterBench `json:"cluster,omitempty"`
 	// Corpus is the binary-codec throughput ladder: mmap'd corpus
 	// decode rates per rung, decode+allocate rate, and the cold
 	// text-vs-binary serve duel. Not part of -all: rung sizes make its
@@ -215,7 +211,6 @@ func main() {
 		sweep       = flag.Bool("sweep", false, "registers-vs-quality sweep across machine shapes")
 		sweepB      = flag.String("sweep-bench", "eqntott", "benchmark the -sweep runs")
 		srv         = flag.Bool("serve", false, "allocation-service steady-state benchmark (cold vs. warm cache)")
-		clu         = flag.Bool("cluster", false, "sharded-cluster benchmark (routing, hedging, persistent tier)")
 		corpusF     = flag.Bool("corpus", false, "binary-codec throughput ladder over an mmap'd corpus (excluded from -all)")
 		corpusFile  = flag.String("corpus-file", "", "existing corpus file, shard-set base, or glob (empty = generate a temporary set)")
 		corpusprogs = flag.Int("corpus-programs", 20000, "distinct programs in the generated corpus")
@@ -234,9 +229,9 @@ func main() {
 	)
 	flag.Parse()
 	if *all {
-		*t1, *t2, *f3, *t3, *abl, *sweep, *srv, *clu, *allocF, *qualityF = true, true, true, true, true, true, true, true, true, true
+		*t1, *t2, *f3, *t3, *abl, *sweep, *srv, *allocF, *qualityF = true, true, true, true, true, true, true, true, true
 	}
-	if !*t1 && !*t2 && !*f3 && !*t3 && !*abl && !*sweep && !*srv && !*clu && !*allocF && !*corpusF && !*qualityF {
+	if !*t1 && !*t2 && !*f3 && !*t3 && !*abl && !*sweep && !*srv && !*allocF && !*corpusF && !*qualityF {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -286,11 +281,6 @@ func main() {
 	}
 	if *srv {
 		if out.Serve, err = runServeBench("x86-8", 3); err != nil {
-			die(err)
-		}
-	}
-	if *clu {
-		if out.Cluster, err = runClusterBench("x86-8"); err != nil {
 			die(err)
 		}
 	}
@@ -439,28 +429,6 @@ func printText(out *benchOutput) {
 		fmt.Printf("%-10s %-10s %9d %7d %14d %14d %7.1fx %8.3f\n",
 			s.Machine, s.Algorithm, s.Programs, s.Rounds,
 			s.ColdNsPerProgram, s.WarmNsPerProgram, s.Speedup, s.CacheHitRate)
-		fmt.Println()
-	}
-
-	if out.Cluster != nil {
-		cb := out.Cluster
-		fmt.Println("Cluster: 3-node consistent-hash fleet (hot/cold stream, per-node disk tiers)")
-		fmt.Printf("%-10s %6s %9s %14s %14s %9s %13s\n",
-			"machine", "nodes", "requests", "cold-ns/req", "warm-ns/req", "hit-rate", "restart-warm")
-		fmt.Printf("%-10s %6d %9d %14d %14d %8.3f %13.3f\n",
-			cb.Machine, cb.Nodes, cb.Requests,
-			cb.ColdNsPerRequest, cb.WarmNsPerRequest, cb.WarmHitRate, cb.RestartWarmHitRate)
-		fmt.Printf("  persist admission (default bar): %d admitted, %d rejected as too cheap\n",
-			cb.PersistAdmitted, cb.PersistRejectedCost)
-		fmt.Printf("  binary wire form (warm hot set): json %v/req -> binary %v/req (%.2fx, %d binary posts)\n",
-			time.Duration(cb.JSONNsPerRequest).Round(time.Microsecond),
-			time.Duration(cb.BinaryNsPerRequest).Round(time.Microsecond),
-			cb.BinarySpeedup, cb.BinaryRequests)
-		fmt.Printf("  hedging vs one node stalled %v: p50 %v -> %v, p99 %v -> %v (%.1fx at p99, %d hedge wins)\n",
-			time.Duration(cb.StallNs),
-			time.Duration(cb.UnhedgedP50Ns).Round(time.Microsecond), time.Duration(cb.HedgedP50Ns).Round(time.Microsecond),
-			time.Duration(cb.UnhedgedP99Ns).Round(time.Microsecond), time.Duration(cb.HedgedP99Ns).Round(time.Microsecond),
-			cb.TailSpeedupP99, cb.HedgeWins)
 		fmt.Println()
 	}
 

@@ -1,29 +1,20 @@
-// Command lsra-client scripts against lsra-served daemons: it posts
+// Command lsra-client scripts against an lsra-served daemon: it posts
 // textual IR programs for allocation and fetches service metrics.
 //
 //	lsra-client -addr http://localhost:7421 -machine alpha prog.ir
 //	cat prog.ir | lsra-client -machine tiny:6,4 -algo linearscan
 //	lsra-client -metrics
 //
-// -addr accepts a comma-separated node table; with more than one node
-// the client becomes cluster-aware (internal/cluster): requests route
-// by consistent hashing to the node whose cache owns them, fail over to
-// ring successors on node loss, and — with -hedge — race a duplicate to
-// the successor when the owner is slow. 429 + Retry-After responses are
-// always honored with bounded backoff rather than treated as failures.
-// With -topology pointing at a cluster admin endpoint (lsra-cluster
-// -admin), the node table tracks the live membership: polled on
-// -topology-refresh and immediately after a failover streak, so joins
-// and leaves do not require a restart.
-//
 // By default the allocated program is printed to stdout and a one-line
-// summary (serving node, cache status, candidates, spills, wall time)
-// to stderr; -json dumps the daemon's full AllocateResponse instead.
-// Multiple input files are sent as one batch request.
+// summary (daemon, cache status, candidates, spills, wall time) to
+// stderr; -json dumps the daemon's full AllocateResponse instead.
+// Multiple input files are sent as one batch request. A non-200 reply,
+// 429 under overload included, is reported with its status and error
+// and exits 1.
 package main
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -33,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/serve"
 )
 
@@ -50,20 +40,13 @@ func shortKey(key string) string {
 
 func main() {
 	var (
-		addr     = flag.String("addr", "http://localhost:7421", "daemon base URL, or a comma-separated cluster node table")
+		addr     = flag.String("addr", "http://localhost:7421", "daemon base URL")
 		machine  = flag.String("machine", "alpha", "machine spec (preset or tiny:<ints>,<floats>)")
 		algo     = flag.String("algo", "binpack", "allocator registry name")
 		priority = flag.String("priority", "", "scheduling class: interactive (default) or batch")
 		jsonOut  = flag.Bool("json", false, "print the full JSON response")
-		metrics  = flag.Bool("metrics", false, "fetch /metrics instead of allocating (from every node)")
-		timeout  = flag.Duration("timeout", 60*time.Second, "per-request timeout")
-
-		attempts = flag.Int("attempts", 0, "max distinct nodes to try per request (0 = client default)")
-		hedge    = flag.Duration("hedge", 0, "send a duplicate to the next node after this long (0 = no hedging)")
-		retries  = flag.Int("retries-429", 0, "re-sends per node after 429 + Retry-After (0 = client default)")
-
-		topology        = flag.String("topology", "", "cluster admin /topology URL; the node table tracks it instead of staying fixed at -addr")
-		topologyRefresh = flag.Duration("topology-refresh", 0, "poll period for -topology (0 = client default)")
+		metrics  = flag.Bool("metrics", false, "fetch /metrics instead of allocating")
+		timeout  = flag.Duration("timeout", 60*time.Second, "request timeout")
 	)
 	flag.Parse()
 
@@ -71,28 +54,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lsra-client:", err)
 		os.Exit(1)
 	}
-	nodes := strings.Split(*addr, ",")
-	for i := range nodes {
-		nodes[i] = strings.TrimSpace(strings.TrimSuffix(nodes[i], "/"))
-	}
+	base := strings.TrimSuffix(strings.TrimSpace(*addr), "/")
+	httpc := &http.Client{Timeout: *timeout}
 
 	if *metrics {
-		httpc := &http.Client{Timeout: *timeout}
-		for _, node := range nodes {
-			resp, err := httpc.Get(node + "/metrics")
-			if err != nil {
-				die(err)
-			}
-			if len(nodes) > 1 {
-				fmt.Printf("%s:\n", node)
-			}
-			_, err = io.Copy(os.Stdout, resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				die(err)
-			}
-			fmt.Println()
+		resp, err := httpc.Get(base + "/metrics")
+		if err != nil {
+			die(err)
 		}
+		_, err = io.Copy(os.Stdout, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			die(err)
+		}
+		fmt.Println()
 		return
 	}
 
@@ -112,24 +87,32 @@ func main() {
 			req.Programs = append(req.Programs, string(text))
 		}
 	}
-
-	cl := cluster.NewClient(cluster.ClientConfig{
-		Nodes:            nodes,
-		MaxAttempts:      *attempts,
-		HedgeDelay:       *hedge,
-		Max429Retries:    *retries,
-		HTTPClient:       &http.Client{Timeout: *timeout},
-		TopologyURL:      *topology,
-		TopologyInterval: *topologyRefresh,
-	})
-	defer cl.Close()
-	out, node, err := cl.Allocate(context.Background(), req)
+	body, err := json.Marshal(&req)
 	if err != nil {
 		die(err)
 	}
+	resp, err := httpc.Post(base+"/allocate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		die(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		die(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		var e serve.ErrorResponse
+		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
+			die(fmt.Errorf("status %d: %s", resp.StatusCode, e.Error))
+		}
+		die(fmt.Errorf("status %d", resp.StatusCode))
+	}
+	var out serve.AllocateResponse
+	if err := json.Unmarshal(raw, &out); err != nil {
+		die(fmt.Errorf("bad response body: %w", err))
+	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(out); err != nil {
+		if err := json.NewEncoder(os.Stdout).Encode(&out); err != nil {
 			die(err)
 		}
 		return
@@ -145,7 +128,7 @@ func main() {
 		}
 		rep := res.Report
 		fmt.Fprintf(os.Stderr, "lsra-client: %s via %s (%s on %s): %s, %d procs, %d candidates, %d spilled, wall %v\n",
-			status, node, out.Algorithm, out.Machine, shortKey(res.Key),
+			status, base, out.Algorithm, out.Machine, shortKey(res.Key),
 			len(rep.Procs), rep.Totals.Candidates, rep.Totals.SpilledTemps, rep.WallTime)
 	}
 }

@@ -1,18 +1,15 @@
-// Command lsra-served runs the allocation service: a long-lived HTTP/JSON
-// daemon over the regalloc Engine with a sharded content-addressed result
-// cache, bounded admission control (429 + Retry-After under overload), a
-// /metrics endpoint, and graceful drain on SIGTERM/SIGINT. With -persist
-// the cache gains a disk-backed tier that survives restarts, admitting
-// entries cost-aware (allocation time vs. serialization time).
+// Command lsra-served runs the allocation service: one long-lived
+// HTTP daemon over the regalloc Engine with a sharded in-memory
+// content-addressed result cache, bounded admission control with
+// priority classes (429 + Retry-After under overload), text and binary
+// request bodies, a /metrics endpoint, and graceful drain on
+// SIGTERM/SIGINT. The cache is not persisted: a restart starts cold.
 //
 //	lsra-served -addr :7421 -cache 4096 -workers 8 -queue 32
-//	lsra-served -addr :7421 -persist /var/cache/lsra -persist-entries 65536
 //
-// Endpoints: POST /allocate, GET /metrics, GET /healthz, GET /config,
-// plus the cluster peering pair GET /cache/export and POST /cache/seed —
-// see internal/serve for the request and response schemas,
-// cmd/lsra-client for a scripting client, and cmd/lsra-cluster for
-// running a consistent-hash sharded fleet of these daemons.
+// Endpoints: POST /allocate, GET /metrics, GET /healthz, GET /config —
+// see internal/serve for the request and response schemas and
+// cmd/lsra-client for a scripting client.
 package main
 
 import (
@@ -44,10 +41,6 @@ func main() {
 		verify       = flag.Bool("verify", true, "run the symbolic verifier on every allocation")
 		phases       = flag.Bool("phases", false, "sample per-phase heap allocations (engine WithPhaseProfile)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight requests on shutdown")
-
-		persist        = flag.String("persist", "", "directory for the disk-backed cache tier (empty = memory only)")
-		persistEntries = flag.Int("persist-entries", 0, "disk tier capacity in entries (0 = default)")
-		persistCost    = flag.Float64("persist-cost-factor", 0, "admission bar: allocation must cost this multiple of serialization (0 = default, negative admits all)")
 	)
 	flag.Parse()
 
@@ -60,10 +53,6 @@ func main() {
 		Verify:       *verify,
 		PhaseProfile: *phases,
 		MaxEngines:   *maxEngines,
-
-		PersistDir:        *persist,
-		PersistEntries:    *persistEntries,
-		PersistCostFactor: *persistCost,
 	}
 	if *algos != "" {
 		cfg.Algorithms = strings.Split(*algos, ",")

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/bitset"
@@ -388,8 +389,10 @@ func (s *scan) instr(in *ir.Instr) error {
 		movedDef = s.tryMoveOpt(&ni, pos)
 	}
 
-	// Defs.
+	// Defs. Every register still pinned here holds a source that stays
+	// live after this instruction.
 	if !movedDef {
+		sources := s.pinnedList
 		for di := range ni.Defs {
 			if ni.Defs[di].Kind != ir.KindTemp {
 				continue
@@ -400,8 +403,10 @@ func (s *scan) instr(in *ir.Instr) error {
 				var err error
 				r, err = s.ensure(d, pos, false)
 				if err != nil {
-					s.unpinAll()
-					return err
+					if r = s.takeSourceReg(d, pos, sources); r == target.NoReg {
+						s.unpinAll()
+						return err
+					}
 				}
 			}
 			s.pin(r)
@@ -421,6 +426,38 @@ func (s *scan) instr(in *ir.Instr) error {
 	}
 	s.unpinAll()
 	return nil
+}
+
+// takeSourceReg places definition d when every register of its class
+// holds a source of the current instruction that stays live after it
+// (two float sources on a machine with two float registers). Sources
+// are read before d is written, so the lowest-priority source gives up
+// its register: evicting it stores its value ahead of the instruction
+// when memory is stale, and its later references reload it. It returns
+// NoReg when no source of d's class is in a register.
+func (s *scan) takeSourceReg(d ir.Temp, pos int32, sources []target.Reg) target.Reg {
+	c := s.p.TempClass(d)
+	best, bestPrio := target.NoReg, math.Inf(1)
+	for _, r := range sources {
+		u := s.regOcc[r]
+		if !s.pinned[r] || u == ir.NoTemp || s.p.TempClass(u) != c ||
+			!slices.Contains(s.ubuf, u) || slices.Contains(s.dbuf, u) {
+			continue
+		}
+		if prio, _ := s.victimPriority(u, pos); prio < bestPrio {
+			best, bestPrio = r, prio
+		}
+	}
+	if best == target.NoReg {
+		return target.NoReg
+	}
+	s.evict(s.regOcc[best], pos)
+	s.regOcc[best] = d
+	s.loc[d] = best
+	s.noteReg(best)
+	s.consistent[d] = false
+	s.consLocal[d] = false
+	return best
 }
 
 // deadAfter reports whether t has no further need of a value after pos.

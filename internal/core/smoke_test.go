@@ -175,3 +175,38 @@ func TestSmokeOptionVariants(t *testing.T) {
 		})
 	}
 }
+
+// TestSourcesHoldEveryRegister allocates float arithmetic on machines
+// with two float registers, where an instruction's two sources stay
+// live after it and hold both registers. The destination must take a
+// source's register (spilling the source) rather than fail allocation.
+func TestSourcesHoldEveryRegister(t *testing.T) {
+	for _, mach := range []*target.Machine{target.Tiny(3, 2), target.Tiny(6, 2)} {
+		b := ir.NewBuilder(mach, 16)
+		pb := b.NewProc("main")
+		x, y, z, w := pb.FloatTemp("x"), pb.FloatTemp("y"), pb.FloatTemp("z"), pb.FloatTemp("w")
+		pb.FLdi(x, 2.5)
+		pb.FLdi(y, 4)
+		pb.Op2(ir.FMul, z, ir.TempOp(x), ir.TempOp(y)) // x and y live on
+		pb.Op2(ir.FSub, w, ir.TempOp(z), ir.TempOp(x)) // z and x live on
+		pb.Op2(ir.FAdd, w, ir.TempOp(w), ir.TempOp(y))
+		pb.Op2(ir.FAdd, w, ir.TempOp(w), ir.TempOp(z))
+		pb.Op2(ir.FAdd, w, ir.TempOp(w), ir.TempOp(x))
+		r := pb.IntTemp("r")
+		pb.Op1(ir.CvtFI, r, ir.TempOp(w))
+		pb.Call("puti", ir.NoTemp, ir.TempOp(r))
+		pb.Ret(r)
+
+		twoPass := DefaultOptions()
+		twoPass.SecondChance = false
+		for name, a := range map[string]alloc.Allocator{
+			"binpack": NewDefault(mach),
+			"twopass": New(mach, twoPass),
+			"bare":    New(mach, Options{SecondChance: true}),
+		} {
+			t.Run(mach.Name+"/"+name, func(t *testing.T) {
+				runBoth(t, mach, b.Prog, a, nil)
+			})
+		}
+	}
+}

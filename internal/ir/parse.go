@@ -162,6 +162,9 @@ func (p *parser) proc(head string) (*Proc, error) {
 		proc:   NewProc(name),
 		temps:  map[string]Temp{},
 		blocks: map[string]*Block{},
+		// No slot operand: the frame needs no slots, as in a program
+		// built in memory.
+		maxSlot: -1,
 	}
 	// Parameters: "x int, f float".
 	params := strings.TrimSpace(head[open+1 : closeP])

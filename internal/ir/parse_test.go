@@ -53,6 +53,11 @@ done:
 	if entry.Succs[0].Name != "small" || entry.Succs[1].Name != "big" {
 		t.Fatal("branch targets wired wrong")
 	}
+	// No slot operand, no slots: the allocator numbers its spill slots
+	// from NumSlots, as it does for the same program built in memory.
+	if p.NumSlots != 0 {
+		t.Errorf("NumSlots = %d, want 0", p.NumSlots)
+	}
 }
 
 func TestParseCallAndFloats(t *testing.T) {

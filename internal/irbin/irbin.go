@@ -1,9 +1,8 @@
 // Package irbin is the compact binary codec for ir.Program: the wire
 // format behind the mmap streaming corpus (internal/corpus), the
 // service's application/x-lsra-ir request bodies (internal/serve), and
-// the result cache, whose entries hold an allocated program as one
-// frame in memory, on disk (internal/diskcache) and in cluster
-// replication.
+// the in-memory result cache, whose entries hold an allocated program
+// as one frame.
 //
 // The text form (ir.ParseProgram / ir.Printer) stays the human surface;
 // this codec exists because the cold serve path was dominated by text
@@ -30,8 +29,9 @@
 //     mmap'd corpus must be dropped before the mapping is closed.
 //
 // Decode validates structure exhaustively (bounds, opcode/tag/kind/
-// class ranges, index ranges), never trusting a length field further
-// than the bytes that back it; semantic validity (terminator shape,
+// class ranges, index ranges, names and symbols that are UTF-8, as in
+// the text form a JSON request carries), never trusting a length field
+// further than the bytes that back it; semantic validity (terminator shape,
 // register files, main's existence) remains ir.ValidateProgram's job,
 // exactly as for the text parser.
 package irbin
@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unicode/utf8"
 	"unsafe"
 
 	"repro/internal/ir"
@@ -293,6 +294,21 @@ func (d *dec) strBytes() ([]byte, error) {
 	return b, nil
 }
 
+// name reads a length-prefixed string and rejects it unless it is
+// valid UTF-8: a name the text form cannot carry through a JSON request
+// or response would make the binary and text bodies of one service
+// diverge.
+func (d *dec) name() error {
+	b, err := d.strBytes()
+	if err != nil {
+		return err
+	}
+	if !utf8.Valid(b) {
+		return fmt.Errorf("irbin: name %q is not valid UTF-8", b)
+	}
+	return nil
+}
+
 // count reads a collection length and sanity-bounds it: every element
 // costs at least one payload byte, so a count beyond the remaining
 // input is corrupt by construction (and must not size an allocation).
@@ -364,7 +380,7 @@ func scan(payload []byte) (counts, error) {
 	if memWords > math.MaxInt32 {
 		return c, fmt.Errorf("irbin: absurd memory size %d words", memWords)
 	}
-	if _, err := d.strBytes(); err != nil { // main
+	if err := d.name(); err != nil { // main
 		return c, err
 	}
 	nMem, err := d.count("meminit")
@@ -400,7 +416,7 @@ func scan(payload []byte) (counts, error) {
 }
 
 func scanProc(d *dec, c *counts) error {
-	if _, err := d.strBytes(); err != nil { // name
+	if err := d.name(); err != nil {
 		return err
 	}
 	nTemps, err := d.count("temp")
@@ -416,7 +432,7 @@ func scanProc(d *dec, c *counts) error {
 		if int(cls) >= target.NumClasses {
 			return fmt.Errorf("irbin: bad temp class %d", cls)
 		}
-		if _, err := d.strBytes(); err != nil {
+		if err := d.name(); err != nil {
 			return err
 		}
 	}
@@ -446,7 +462,7 @@ func scanProc(d *dec, c *counts) error {
 		if _, err := d.uvarint(); err != nil { // ID
 			return err
 		}
-		if _, err := d.strBytes(); err != nil { // name
+		if err := d.name(); err != nil {
 			return err
 		}
 		depth, err := d.uvarint()
@@ -559,8 +575,7 @@ func scanOperand(d *dec, nTemps int) error {
 		}
 		return nil
 	case ir.KindSym:
-		_, err := d.strBytes()
-		return err
+		return d.name()
 	}
 	return fmt.Errorf("irbin: bad operand kind %d", kind)
 }

@@ -299,6 +299,30 @@ func TestDecodeRejectsDuplicateProc(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsInvalidUTF8 patches a temp name to bytes that are
+// not UTF-8. Such a name cannot travel in a JSON request or response,
+// so decode must refuse it rather than let the binary body accept a
+// program the text body cannot express.
+func TestDecodeRejectsInvalidUTF8(t *testing.T) {
+	p, err := ir.ParseProgramString(
+		"program mem=0 main=main\nfunc main() {\nentry:\n    xq = ldi 1\n    ret\n}\n", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := irbin.EncodeProgram(p)
+	if _, _, err := irbin.NewArena().Decode(frame); err != nil {
+		t.Fatalf("unpatched frame: %v", err)
+	}
+	idx := bytes.Index(frame, []byte{2, 'x', 'q'})
+	if idx < 0 {
+		t.Fatal("could not locate temp name in frame")
+	}
+	frame[idx+2] = 0xff
+	if _, _, err := irbin.NewArena().Decode(frame); err == nil {
+		t.Fatal("decode accepted a name that is not UTF-8")
+	}
+}
+
 func BenchmarkDecode(b *testing.B) {
 	prog := progs.Random(target.Alpha(), progs.DefaultGen(42))
 	enc := irbin.EncodeProgram(prog)

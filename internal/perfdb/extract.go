@@ -230,7 +230,10 @@ func Extract(data []byte, fallback Meta) (*Record, error) {
 	}
 
 	// Sharded cluster: routing/caching steady state, the hedged-request
-	// tail, and the persistent tier's admission + restart behavior.
+	// tail, and the persistent tier's admission + restart behavior. The
+	// fleet and lsra-bench -cluster are gone; stored documents
+	// (BENCH_7, BENCH_8, BENCH_16) still carry the section, and
+	// backfilling them keeps these series readable.
 	if cs := doc.Cluster; cs != nil {
 		put("cluster_cold_ns", float64(cs.ColdNsPerRequest))
 		put("cluster_warm_ns", float64(cs.WarmNsPerRequest))

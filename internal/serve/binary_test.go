@@ -2,14 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 
+	regalloc "repro"
 	"repro/internal/experiments"
 	"repro/internal/ir"
 	"repro/internal/irbin"
+	"repro/internal/progs"
 	"repro/internal/target"
 )
 
@@ -116,6 +119,37 @@ func TestAllocateBinaryConformance(t *testing.T) {
 	}
 }
 
+// TestGeneratedFrameMatchesText sends generator programs the way a
+// client that never parses text does: the frame encodes the program
+// built in memory, whose temp numbering differs from the parser's. Such
+// a frame is a different cache entry from the text body, but binpack
+// must still answer both with the same program.
+func TestGeneratedFrameMatchesText(t *testing.T) {
+	const preset = "x86-8"
+	mach, err := target.Parse(preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{})
+	for _, profile := range progs.Profiles() {
+		for seed := int64(0); seed < 3; seed++ {
+			cfg, err := progs.ProfileGen(profile, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := progs.Random(mach, cfg)
+			var text strings.Builder
+			(&ir.Printer{Mach: mach}).WriteProgram(&text, prog)
+			var fromText, fromBin AllocateResponse
+			post(t, ts.URL, AllocateRequest{Machine: preset, Program: text.String()}, http.StatusOK, &fromText)
+			postBinary(t, ts.URL, "machine="+preset, irbin.EncodeProgram(prog), http.StatusOK, &fromBin)
+			if fromText.Results[0].Program != fromBin.Results[0].Program {
+				t.Errorf("%s/%d: generator frame and its text allocated differently", profile, seed)
+			}
+		}
+	}
+}
+
 func TestAllocateBinaryBatch(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	const machine = "tiny:8,4"
@@ -175,4 +209,45 @@ func TestAllocateBinaryRejects(t *testing.T) {
 	postBinary(t, ts.URL, "", valid, http.StatusBadRequest, nil)
 	// Bad priority.
 	postBinary(t, ts.URL, "machine=tiny:6,4&priority=bogus", valid, http.StatusBadRequest, nil)
+}
+
+// TestBinaryKeyCoversSlotCount sends a program as text, then as a
+// frame that differs only in what the text form cannot say: a larger
+// slot count. The allocator numbers its spill slots from that count,
+// so the binary request must not hit the text request's entry; it must
+// get its own key and the program a direct allocation gives.
+func TestBinaryKeyCoversSlotCount(t *testing.T) {
+	const machine = "tiny:6,4"
+	_, ts := newTestServer(t, Config{})
+	text := workloadText(t, machine, 24)
+	var fromText, fromBinary AllocateResponse
+	post(t, ts.URL, AllocateRequest{Machine: machine, Program: text}, http.StatusOK, &fromText)
+
+	mach, err := target.Parse(machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ir.ParseProgramString(text, mach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Proc(prog.Main).NumSlots += 5
+	postBinary(t, ts.URL, "machine="+machine, irbin.EncodeProgram(prog), http.StatusOK, &fromBinary)
+	got := fromBinary.Results[0]
+	if got.Cached || got.Key == fromText.Results[0].Key {
+		t.Fatalf("binary body with a larger slot count hit the text entry (key %s)", got.Key)
+	}
+	eng, err := regalloc.New(mach, regalloc.WithVerify(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, key, err := eng.AllocateCachedKey(context.Background(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	(&ir.Printer{Mach: mach}).WriteProgram(&sb, out)
+	if got.Key != string(key) || got.Program != sb.String() {
+		t.Error("binary result differs from a direct allocation of the same program")
+	}
 }

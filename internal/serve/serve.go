@@ -13,19 +13,18 @@
 //	GET  /metrics       service counters, queue depth, cache and phase stats
 //	GET  /healthz       liveness; reports "draining" during shutdown
 //	GET  /config        accepted machines, algorithms and limits
-//	GET  /cache/export  hottest cache entries in wire form (replication)
-//	POST /cache/seed    install wire-form entries into the cache
+//
+// POST /allocate takes a program either as JSON (AllocateRequest, the
+// textual IR) or as concatenated internal/irbin frames under
+// ContentTypeBinaryIR; both bodies share one admission path, one engine
+// table and one in-memory cache, so a program sent either way has the
+// same key and the same answer.
 //
 // Requests carry a priority class ("interactive", the default, or
 // "batch"): when every worker is busy, waiting interactive requests are
 // always scheduled before waiting batch requests, so latency-sensitive
-// traffic preempts bulk traffic in the admission queue. With
-// Config.PersistDir set, the result cache gains a disk-backed
-// persistent tier (internal/diskcache) behind the in-memory one: warm
-// entries survive a restart, and cost-aware admission keeps cheap
-// allocations from paying the serialization tax. The export/seed pair
-// is what the cluster layer (internal/cluster) uses to replicate hot
-// entries between nodes on join, leave and on a timer.
+// traffic preempts bulk traffic in the admission queue. The cache lives
+// only in memory: a restarted daemon starts cold.
 //
 // The server is an http.Handler, so it embeds in tests (httptest) and
 // custom daemons alike; ListenAndServe and Shutdown add the production
@@ -42,7 +41,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,7 +48,6 @@ import (
 
 	regalloc "repro"
 	"repro/internal/alloc"
-	"repro/internal/diskcache"
 	"repro/internal/ir"
 	"repro/internal/irbin"
 	"repro/internal/target"
@@ -90,15 +87,6 @@ type Config struct {
 	// Spec). Least-recently-used engines are dropped beyond the bound —
 	// only their warm scratch arenas are lost (0 = 64).
 	MaxEngines int
-	// PersistDir, when set, backs the result cache with a disk tier in
-	// this directory (internal/diskcache): entries survive restarts and
-	// are admitted cost-aware. Requires caching (CacheEntries >= 0).
-	PersistDir string
-	// PersistEntries bounds the disk tier (0 = diskcache default).
-	PersistEntries int
-	// PersistCostFactor is the disk tier's admission bar (0 = diskcache
-	// default; negative admits everything).
-	PersistCostFactor float64
 }
 
 // Priority is a request's scheduling class.
@@ -188,15 +176,8 @@ type Metrics struct {
 	UptimeNs int64          `json:"uptime_ns"`
 	Requests RequestMetrics `json:"requests"`
 	Queue    QueueMetrics   `json:"queue"`
-	// Cache is present when caching is enabled (the in-memory tier when
-	// a persistent tier is also configured).
+	// Cache is present when caching is enabled.
 	Cache *CacheMetrics `json:"cache,omitempty"`
-	// Persist is present when the disk-backed tier is configured: its
-	// own hit/miss/entry counters plus cost-aware admission stats.
-	Persist *PersistMetrics `json:"persist,omitempty"`
-	// Peering counts cache entries moved through /cache/export and
-	// /cache/seed (cluster replication traffic).
-	Peering PeeringMetrics `json:"peering"`
 	// Programs counts allocated programs (cache hits included);
 	// CachedPrograms the subset served from the cache; Procs the
 	// procedures allocated by actual pipeline runs.
@@ -253,24 +234,6 @@ type CacheMetrics struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
-// PersistMetrics is the disk-tier section of Metrics.
-type PersistMetrics struct {
-	regalloc.CacheStats
-	HitRate   float64                  `json:"hit_rate"`
-	Admission diskcache.AdmissionStats `json:"admission"`
-}
-
-// PeeringMetrics counts replication traffic through the cache
-// export/seed endpoints.
-type PeeringMetrics struct {
-	// Exported counts entries served by /cache/export; Seeded entries
-	// installed by /cache/seed; SeedRejected seed payloads that failed
-	// to decode.
-	Exported     uint64 `json:"exported"`
-	Seeded       uint64 `json:"seeded"`
-	SeedRejected uint64 `json:"seed_rejected"`
-}
-
 // HeapMetrics is the process heap-allocation section of Metrics.
 type HeapMetrics struct {
 	Allocs uint64 `json:"allocs"`
@@ -296,8 +259,7 @@ type engineEntry struct {
 // as an http.Handler and drains gracefully through Shutdown.
 type Server struct {
 	cfg   Config
-	cache regalloc.ResultCache
-	disk  *diskcache.Cache // nil unless PersistDir is set
+	cache regalloc.ResultCache // nil when caching is disabled
 	mux   *http.ServeMux
 	start time.Time
 
@@ -318,13 +280,12 @@ type Server struct {
 	httpMu  sync.Mutex
 	httpSrv *http.Server
 
-	reqTotal, reqOK, reqErrors     atomic.Uint64
-	reqRejected, reqDraining       atomic.Uint64
-	reqCancelled                   atomic.Uint64
-	programs, cachedPrograms       atomic.Uint64
-	procs                          atomic.Uint64
-	allocWallNs                    atomic.Int64
-	exported, seeded, seedRejected atomic.Uint64
+	reqTotal, reqOK, reqErrors atomic.Uint64
+	reqRejected, reqDraining   atomic.Uint64
+	reqCancelled               atomic.Uint64
+	programs, cachedPrograms   atomic.Uint64
+	procs                      atomic.Uint64
+	allocWallNs                atomic.Int64
 
 	phaseMu sync.Mutex
 	phases  alloc.PhaseTimes
@@ -369,31 +330,13 @@ func New(cfg Config) (*Server, error) {
 		start:     time.Now(),
 	}
 	if cfg.CacheEntries >= 0 {
-		mem := regalloc.NewShardedCache(cfg.CacheEntries, cfg.CacheShards)
-		if cfg.PersistDir != "" {
-			disk, err := diskcache.Open(diskcache.Config{
-				Dir:        cfg.PersistDir,
-				MaxEntries: cfg.PersistEntries,
-				CostFactor: cfg.PersistCostFactor,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("serve: %w", err)
-			}
-			s.disk = disk
-			s.cache = regalloc.NewTieredCache(mem, disk)
-		} else {
-			s.cache = mem
-		}
-	} else if cfg.PersistDir != "" {
-		return nil, fmt.Errorf("serve: PersistDir requires caching (CacheEntries >= 0)")
+		s.cache = regalloc.NewShardedCache(cfg.CacheEntries, cfg.CacheShards)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/allocate", s.handleAllocate)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/config", s.handleConfig)
-	s.mux.HandleFunc("/cache/export", s.handleCacheExport)
-	s.mux.HandleFunc("/cache/seed", s.handleCacheSeed)
 	return s, nil
 }
 
@@ -654,15 +597,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	var req AllocateRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		// Over-limit is a distinct, retryable-after-splitting condition:
-		// tell the client 413, not 400.
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.fail(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxRequestBytes))
-			return
-		}
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		s.failBody(w, err)
 		return
 	}
 	texts := req.Programs
@@ -682,7 +617,86 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
+	s.allocate(w, r, start, prio, req.Machine, req.Algorithm, func(i int, mach *regalloc.Machine) (*ir.Program, bool, error) {
+		if i == len(texts) {
+			return nil, false, nil
+		}
+		prog, err := ir.ParseProgramString(texts[i], mach)
+		return prog, true, err
+	})
+}
 
+// handleAllocateBinary is the Content-Type: application/x-lsra-ir arm
+// of POST /allocate. Only the program front end differs from the text
+// arm: frames decode zero-copy into a pooled arena instead of running
+// the text parser. The decoded program aliases the request body and the
+// arena, which is safe because the engine clones procedures before
+// rewriting and the response carries printed text.
+func (s *Server) handleAllocateBinary(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	q := r.URL.Query()
+	prio, err := ParsePriority(q.Get("priority"))
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	if err != nil {
+		s.failBody(w, err)
+		return
+	}
+	if len(body) == 0 {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("no program in request"))
+		return
+	}
+	// The arena is taken with the first frame, once the request holds a
+	// worker, so queued requests do not pin pooled arenas.
+	var arena *irbin.Arena
+	defer func() {
+		if arena != nil {
+			arenaPool.Put(arena)
+		}
+	}()
+	rest := body
+	s.allocate(w, r, start, prio, q.Get("machine"), q.Get("algorithm"), func(int, *regalloc.Machine) (*ir.Program, bool, error) {
+		if len(rest) == 0 {
+			return nil, false, nil
+		}
+		if arena == nil {
+			arena = arenaPool.Get().(*irbin.Arena)
+		}
+		prog, n, err := arena.Decode(rest)
+		if err != nil {
+			return nil, true, err
+		}
+		rest = rest[n:]
+		return prog, true, nil
+	})
+}
+
+// failBody answers a body that could not be read or decoded. Over-limit
+// is a distinct, retryable-after-splitting condition: the client gets
+// 413, not 400.
+func (s *Server) failBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.fail(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxRequestBytes))
+		return
+	}
+	s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+}
+
+// nextProgram yields a request's i-th program, parsed for mach; ok is
+// false once the body holds no more programs. An error is the client's:
+// it is answered 400.
+type nextProgram func(i int, mach *regalloc.Machine) (prog *ir.Program, ok bool, err error)
+
+// allocate is the part of POST /allocate both body forms share, run
+// once the body has been read: admission, the engine lookup, the
+// priority-ordered wait for a worker, and then, per program from next,
+// validation, the cached allocation and the printed result.
+func (s *Server) allocate(w http.ResponseWriter, r *http.Request, start time.Time, prio Priority, machine, algorithm string, next nextProgram) {
 	switch s.admit() {
 	case admitDraining:
 		s.reqDraining.Add(1)
@@ -697,7 +711,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	eng, mach, err := s.engine(req.Machine, req.Algorithm)
+	eng, mach, err := s.engine(machine, algorithm)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -715,14 +729,16 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.sched.release()
 
-	resp := AllocateResponse{Machine: req.Machine, Algorithm: eng.Algorithm()}
-	for i, text := range texts {
-		prog, err := ir.ParseProgramString(text, mach)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("program %d: %w", i, err))
-			return
+	resp := AllocateResponse{Machine: machine, Algorithm: eng.Algorithm()}
+	for i := 0; ; i++ {
+		prog, ok, err := next(i, mach)
+		if !ok {
+			break
 		}
-		if err := ir.ValidateProgram(prog, mach); err != nil {
+		if err == nil {
+			err = ir.ValidateProgram(prog, mach)
+		}
+		if err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("program %d: %w", i, err))
 			return
 		}
@@ -730,104 +746,6 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			// A cancelled client is not a server error: classify it
 			// apart so the error-rate metric stays meaningful.
-			if r.Context().Err() != nil {
-				s.reqCancelled.Add(1)
-				writeJSON(w, statusClientClosedRequest, ErrorResponse{Error: "client went away mid-allocation"})
-				return
-			}
-			s.fail(w, http.StatusInternalServerError, fmt.Errorf("program %d: %w", i, err))
-			return
-		}
-		s.account(rep)
-		var sb strings.Builder
-		(&ir.Printer{Mach: mach}).WriteProgram(&sb, out)
-		resp.Results = append(resp.Results, AllocatedProgram{
-			Key:     string(key),
-			Cached:  rep.Cached,
-			Program: sb.String(),
-			Report:  rep,
-		})
-	}
-	resp.ElapsedNs = time.Since(start).Nanoseconds()
-	s.reqOK.Add(1)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleAllocateBinary is the Content-Type: application/x-lsra-ir arm
-// of POST /allocate. It mirrors the text arm's admission and
-// scheduling exactly; only the program front end differs — frames
-// decode zero-copy into a pooled arena instead of running the text
-// parser. The decoded program aliases the request body and the arena,
-// which is safe because the engine clones procedures before rewriting
-// and the response carries printed text.
-func (s *Server) handleAllocateBinary(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	q := r.URL.Query()
-	prio, err := ParsePriority(q.Get("priority"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.fail(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxRequestBytes))
-			return
-		}
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	if len(body) == 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("no program in request"))
-		return
-	}
-
-	switch s.admit() {
-	case admitDraining:
-		s.reqDraining.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server is draining"})
-		return
-	case admitFull:
-		s.reqRejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: "admission queue full; retry later"})
-		return
-	case admitted:
-	}
-	defer s.release()
-
-	eng, mach, err := s.engine(q.Get("machine"), q.Get("algorithm"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-
-	if err := s.sched.acquire(r.Context(), prio); err != nil {
-		s.reqCancelled.Add(1)
-		writeJSON(w, statusClientClosedRequest, ErrorResponse{Error: "client went away while queued"})
-		return
-	}
-	defer s.sched.release()
-
-	arena := arenaPool.Get().(*irbin.Arena)
-	defer arenaPool.Put(arena)
-	resp := AllocateResponse{Machine: q.Get("machine"), Algorithm: eng.Algorithm()}
-	rest := body
-	for i := 0; len(rest) > 0; i++ {
-		prog, n, err := arena.Decode(rest)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("program %d: %w", i, err))
-			return
-		}
-		rest = rest[n:]
-		if err := ir.ValidateProgram(prog, mach); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("program %d: %w", i, err))
-			return
-		}
-		out, rep, key, err := eng.AllocateCachedKey(r.Context(), prog)
-		if err != nil {
 			if r.Context().Err() != nil {
 				s.reqCancelled.Add(1)
 				writeJSON(w, statusClientClosedRequest, ErrorResponse{Error: "client went away mid-allocation"})
@@ -893,11 +811,6 @@ func (s *Server) Metrics() Metrics {
 		CachedPrograms: s.cachedPrograms.Load(),
 		Procs:          s.procs.Load(),
 		AllocWallNs:    s.allocWallNs.Load(),
-		Peering: PeeringMetrics{
-			Exported:     s.exported.Load(),
-			Seeded:       s.seeded.Load(),
-			SeedRejected: s.seedRejected.Load(),
-		},
 	}
 	running, waiting := s.sched.snapshot()
 	m.Queue = QueueMetrics{
@@ -910,14 +823,7 @@ func (s *Server) Metrics() Metrics {
 	}
 	if s.cache != nil {
 		st := s.cache.Stats()
-		if tc, ok := s.cache.(*regalloc.TieredCache); ok {
-			st, _ = tc.TierStats()
-		}
 		m.Cache = &CacheMetrics{CacheStats: st, HitRate: st.HitRate()}
-	}
-	if s.disk != nil {
-		st := s.disk.Stats()
-		m.Persist = &PersistMetrics{CacheStats: st, HitRate: st.HitRate(), Admission: s.disk.Admission()}
 	}
 	s.phaseMu.Lock()
 	pt := s.phases
@@ -949,103 +855,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, map[string]string{"status": status})
 }
 
-// CacheExportResponse is the GET /cache/export document: the hottest
-// cache entries in wire form (diskcache.Encode), newest first.
-type CacheExportResponse struct {
-	Entries [][]byte `json:"entries"`
-}
-
-// CacheSeedRequest is the POST /cache/seed body: wire-form entries to
-// install. CacheSeedResponse reports how many were installed.
-type CacheSeedRequest struct {
-	Entries [][]byte `json:"entries"`
-}
-
-// CacheSeedResponse is the POST /cache/seed reply.
-type CacheSeedResponse struct {
-	Seeded   int `json:"seeded"`
-	Rejected int `json:"rejected"`
-}
-
-// handleCacheExport serves the hottest n (default 64) cache entries in
-// wire form — the pull side of cluster replication.
-func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
-		return
-	}
-	n := 64
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad n"})
-			return
-		}
-		n = v
-	}
-	resp := CacheExportResponse{Entries: [][]byte{}}
-	if hl, ok := s.cache.(regalloc.HotLister); ok {
-		for _, he := range hl.Hottest(n) {
-			data, err := diskcache.Encode(he.Key, he.Entry)
-			if err != nil {
-				continue
-			}
-			resp.Entries = append(resp.Entries, data)
-		}
-	}
-	s.exported.Add(uint64(len(resp.Entries)))
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleCacheSeed installs wire-form entries into the cache — the push
-// side of cluster replication. Entries that fail to decode, or whose
-// program fails irbin decoding or ir.ValidateProgram, are counted and
-// skipped, never fatal: a partially corrupt replication batch still
-// warms what it can.
-func (s *Server) handleCacheSeed(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
-		return
-	}
-	if s.cache == nil {
-		writeJSON(w, http.StatusConflict, ErrorResponse{Error: "caching disabled"})
-		return
-	}
-	var req CacheSeedRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad seed body: %v", err)})
-		return
-	}
-	var resp CacheSeedResponse
-	for _, raw := range req.Entries {
-		key, entry, err := diskcache.Decode(raw)
-		if err == nil {
-			err = checkFrame(entry.Frame)
-		}
-		if err != nil {
-			resp.Rejected++
-			continue
-		}
-		s.cache.Put(key, entry)
-		resp.Seeded++
-	}
-	s.seeded.Add(uint64(resp.Seeded))
-	s.seedRejected.Add(uint64(resp.Rejected))
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// checkFrame refuses a seeded frame that does not decode to a valid
-// program. The engine serves any cached frame that decodes, so a
-// peer's entries are checked here, before they reach the cache.
-func checkFrame(frame []byte) error {
-	prog, err := irbin.DecodeProgram(frame)
-	if err != nil {
-		return err
-	}
-	return ir.ValidateProgram(prog, nil)
-}
-
 // configDoc is the GET /config document: what the daemon serves.
 type configDoc struct {
 	Machines     []string `json:"machines"`
@@ -1054,10 +863,8 @@ type configDoc struct {
 	QueueDepth   int      `json:"queue_depth"`
 	CacheEntries int      `json:"cache_entries"`
 	Verify       bool     `json:"verify"`
-	// Priorities lists the accepted scheduling classes; Persist reports
-	// whether a disk-backed cache tier is configured.
+	// Priorities lists the accepted scheduling classes.
 	Priorities []string `json:"priorities"`
-	Persist    bool     `json:"persist"`
 }
 
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
@@ -1077,7 +884,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		CacheEntries: cacheEntries,
 		Verify:       s.cfg.Verify,
 		Priorities:   []string{PriorityInteractive.String(), PriorityBatch.String()},
-		Persist:      s.disk != nil,
 	})
 }
 

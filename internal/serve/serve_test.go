@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	regalloc "repro"
 	"repro/internal/experiments"
 	"repro/internal/ir"
+	"repro/internal/irbin"
 	"repro/internal/target"
 )
 
@@ -286,45 +290,94 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
+// TestGracefulDrain is a property test over seeded-random timings. Each
+// round staggers a mix of text and binary requests against a Shutdown
+// that starts after a random delay. Whatever the interleaving, every
+// request must finish (200) or be refused as draining (503), never be
+// dropped, and Shutdown must return with no request in flight.
 func TestGracefulDrain(t *testing.T) {
-	// Admission holds all 16 requests (2 workers + 16 queue slots), so a
+	text := workloadText(t, "alpha", 9)
+	mach, err := target.Parse("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ir.ParseProgramString(text, mach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := irbin.EncodeProgram(prog)
+	seeds := rand.New(rand.NewSource(17))
+	for round := 0; round < 6; round++ {
+		seed := seeds.Int63()
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			drainRound(t, rand.New(rand.NewSource(seed)), text, frame)
+		})
+	}
+}
+
+// drainRound runs one TestGracefulDrain round with timings from rng.
+func drainRound(t *testing.T, rng *rand.Rand, text string, frame []byte) {
+	n := 8 + rng.Intn(17)
+	// Admission holds every request (2 workers + n queue slots), so a
 	// request can only finish or be refused as draining: a 429 from a
 	// full queue would say nothing about the drain.
-	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 16})
-	text := workloadText(t, "alpha", 9)
-
-	// In-flight traffic while we shut down: every request must either
-	// complete (200) or be refused as draining (503) — never dropped.
+	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: n})
+	textBody, err := json.Marshal(&AllocateRequest{Machine: "alpha", Program: text})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
-	codes := make(chan int, 16)
-	for i := 0; i < 16; i++ {
+	codes := make(chan int, n)
+	for i := 0; i < n; i++ {
+		delay := time.Duration(rng.Intn(3000)) * time.Microsecond
+		endpoint, ctype, body := ts.URL+"/allocate", "application/json", textBody
+		if rng.Intn(2) == 1 {
+			endpoint, ctype, body = ts.URL+"/allocate?machine=alpha", ContentTypeBinaryIR, frame
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, _ := json.Marshal(&AllocateRequest{Machine: "alpha", Program: text})
-			resp, err := http.Post(ts.URL+"/allocate", "application/json", bytes.NewReader(body))
+			time.Sleep(delay)
+			resp, err := http.Post(endpoint, ctype, bytes.NewReader(body))
 			if err != nil {
 				codes <- -1
 				return
 			}
 			defer resp.Body.Close()
-			var sink json.RawMessage
-			_ = json.NewDecoder(resp.Body).Decode(&sink)
+			_, _ = io.Copy(io.Discard, resp.Body)
 			codes <- resp.StatusCode
 		}()
 	}
-	time.Sleep(time.Millisecond) // let a few requests admit
+	time.Sleep(time.Duration(rng.Intn(10000)) * time.Microsecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+	// Shutdown returned, so nothing may still hold an admission slot
+	// or a worker.
+	if held := len(s.slots); held != 0 {
+		t.Errorf("%d admission slots still held after Shutdown", held)
+	}
+	if running, _ := s.sched.snapshot(); running != 0 {
+		t.Errorf("%d requests still executing after Shutdown", running)
+	}
 	wg.Wait()
 	close(codes)
+	var ok, refused uint64
 	for code := range codes {
-		if code != http.StatusOK && code != http.StatusServiceUnavailable {
+		switch code {
+		case http.StatusOK:
+			ok++
+		case http.StatusServiceUnavailable:
+			refused++
+		default:
 			t.Errorf("request finished with %d during drain, want 200 or 503", code)
 		}
+	}
+	if m := getMetrics(t, ts.URL); m.Requests.OK != ok || m.Requests.Draining != refused {
+		t.Errorf("metrics count %d ok and %d draining, clients saw %d and %d",
+			m.Requests.OK, m.Requests.Draining, ok, refused)
 	}
 
 	// After drain: healthz reports draining, allocations are refused.
@@ -434,5 +487,30 @@ func TestConfigEndpoint(t *testing.T) {
 	}
 	if !doc.Verify {
 		t.Error("config should report verification on")
+	}
+}
+
+// TestUndecodableCacheEntryIsAMiss plants an entry whose frame cannot
+// be decoded under a live request's key: the next request must be
+// re-allocated and answered as a miss with the same program, never a
+// 500, and the bad entry replaced.
+func TestUndecodableCacheEntryIsAMiss(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	req := AllocateRequest{Machine: "tiny:6,4", Program: workloadText(t, "tiny:6,4", 24)}
+	var first, again AllocateResponse
+	post(t, ts.URL, req, http.StatusOK, &first)
+	key := regalloc.CacheKey(first.Results[0].Key)
+	s.Cache().Put(key, &regalloc.CachedAllocation{Frame: []byte(irbin.Magic + "junk"), Report: first.Results[0].Report})
+
+	post(t, ts.URL, req, http.StatusOK, &again)
+	if again.Results[0].Cached {
+		t.Error("undecodable entry reported as a cache hit")
+	}
+	if again.Results[0].Program != first.Results[0].Program {
+		t.Error("re-allocation after a bad entry printed a different program")
+	}
+	post(t, ts.URL, req, http.StatusOK, &again)
+	if !again.Results[0].Cached || again.Results[0].Program != first.Results[0].Program {
+		t.Error("bad entry was not replaced by the re-allocation")
 	}
 }
