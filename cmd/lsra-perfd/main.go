@@ -1,7 +1,10 @@
 // Command lsra-perfd is the continuous perf observatory daemon: it owns
 // an append-only JSONL store of benchmark runs (internal/perfdb),
-// ingests `lsra-bench -all -json` documents over HTTP or from files, and
-// serves the time-series API plus a self-contained HTML dashboard.
+// ingests stamped `lsra-bench -json` documents over HTTP or from files,
+// and serves the time-series API plus a self-contained HTML dashboard.
+// A document may carry a `benchmark` section (CI merges the result
+// lines of benchmark/run.sh into it); its bench.<workload>.<metric>
+// series are the dashboard's headline.
 //
 //	lsra-perfd                                   serve ./perfdb.jsonl on :8317
 //	lsra-perfd -backfill BENCH_*.json            seed the store from committed

@@ -26,10 +26,11 @@ type LoadJob struct {
 // Workload builds a deterministic service load: one job per
 // (profile, seed) pair over seedsPer consecutive seeds starting at
 // seed0, in profile-major order. Empty profiles selects every named
-// generator profile. The steady-state service benchmark replays a
-// workload repeatedly — the first pass misses the daemon's result
-// cache, every later pass hits it — and the serve tests use it as
-// mixed traffic.
+// generator profile. BenchmarkServeSteadyState replays a workload
+// repeatedly — the first pass misses the daemon's result cache, every
+// later pass hits it — and the serve tests use it as mixed traffic.
+// End-to-end serving throughput is the repository benchmark's
+// serve-hotcold workload (benchmark/), not a replay of this.
 func Workload(mach *target.Machine, profiles []string, seed0 int64, seedsPer int) ([]LoadJob, error) {
 	if len(profiles) == 0 {
 		profiles = progs.Profiles()

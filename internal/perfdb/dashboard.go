@@ -23,15 +23,17 @@ const (
 	sparkPad = 3.0
 )
 
-// headlineMetrics are the stat-tile row, in display order; only those
+// headlineMetrics are the stat-tile row, in display order: each
+// benchmark workload's throughput, then the engine totals. Only those
 // present in the store render.
-var headlineMetrics = []string{
-	"serve_cold_ns",
-	"serve_warm_ns",
-	"serve_cache_hit_rate",
-	"alloc.total.wall_ns",
-	"alloc.total.heap_allocs",
-	"rusage.max_rss_bytes",
+func headlineMetrics(metrics []MetricInfo) []string {
+	var names []string
+	for _, mi := range metrics {
+		if strings.HasPrefix(mi.Name, "bench.") && strings.HasSuffix(mi.Name, ".programs_per_s") {
+			names = append(names, mi.Name)
+		}
+	}
+	return append(names, "alloc.total.wall_ns", "alloc.total.heap_allocs", "rusage.max_rss_bytes")
 }
 
 // RenderDashboard writes the dashboard for the server's store; it is
@@ -63,7 +65,7 @@ func (s *Server) RenderDashboard(w io.Writer) {
 
 	// Stat tiles.
 	var tiles []string
-	for _, name := range headlineMetrics {
+	for _, name := range headlineMetrics(metrics) {
 		pts := s.store.Series(name)
 		if len(pts) == 0 {
 			continue
@@ -143,7 +145,8 @@ func (s *Server) statTile(name string, pts []Point) string {
 
 // deltaSpan renders a relative change with direction-aware good/bad
 // coloring: lower is better for every cost metric (ns, bytes, allocs,
-// spill); higher is better for speedup and hit-rate.
+// spill); higher is better for speedups, hit rates, throughputs (per_s,
+// per_sec) and eligible quality points.
 func deltaSpan(metric string, from, to float64) string {
 	if from == to {
 		return `<span class="sub">±0%</span>`
@@ -159,7 +162,10 @@ func deltaSpan(metric string, from, to float64) string {
 	if up {
 		glyph = "▲"
 	}
-	higherIsBetter := strings.Contains(metric, "speedup") || strings.Contains(metric, "hit_rate")
+	higherIsBetter := false // "per_s" also matches per_sec
+	for _, s := range []string{"speedup", "hit_rate", "per_s", "eligible"} {
+		higherIsBetter = higherIsBetter || strings.Contains(metric, s)
+	}
 	class := "bad"
 	if up == higherIsBetter {
 		class = "good"
@@ -239,9 +245,10 @@ type metricGroup struct {
 	metrics []string
 }
 
-// groupOrder pins the narrative: serving headline, then where time goes,
-// then what it costs, then what the code quality is.
-var groupOrder = []string{"serve", "phase", "alloc", "rusage", "gc", "quality", "sweep"}
+// groupOrder pins the narrative: the benchmark's end-to-end numbers,
+// then the stored serving headline, then where time goes, then what it
+// costs, then what the code quality is.
+var groupOrder = []string{"bench", "serve", "phase", "alloc", "rusage", "gc", "quality", "sweep"}
 
 func groupMetrics(metrics []MetricInfo) []metricGroup {
 	byKey := map[string][]string{}
@@ -287,12 +294,14 @@ func shortCommit(c string) string {
 }
 
 // fmtValue renders a metric value with a unit inferred from its name:
-// nanosecond series as human durations, byte series as binary sizes,
-// rates as percentages, everything else as a plain number.
+// nanosecond and microsecond series as human durations, byte series as
+// binary sizes, rates as percentages, everything else as a plain number.
 func fmtValue(metric string, v float64) string {
 	switch {
 	case strings.HasSuffix(metric, "_ns") || strings.HasSuffix(metric, ".ns"):
 		return fmtNs(v)
+	case strings.HasSuffix(metric, "_us") || strings.HasSuffix(metric, ".us"):
+		return fmtNs(v * 1e3)
 	case strings.HasSuffix(metric, "_bytes"):
 		return fmtBytes(v)
 	case strings.HasSuffix(metric, "_rate") || strings.HasSuffix(metric, "_pct") || strings.Contains(metric, "spill_pct"):

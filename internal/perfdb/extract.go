@@ -10,7 +10,9 @@ import (
 // document. It deliberately redeclares only the fields the observatory
 // flattens into series (cmd/lsra-bench owns the full write-side shape);
 // unknown fields are ignored, so the two can evolve independently as
-// long as names stay stable.
+// long as names stay stable. Sections lsra-bench no longer writes
+// (serve, corpus.alloc, corpus.serve_duel, cluster) stay declared so
+// stored BENCH files keep their series.
 type benchDoc struct {
 	Meta      *Meta      `json:"meta"`
 	Resources *Resources `json:"resources"`
@@ -97,6 +99,18 @@ type benchDoc struct {
 		PersistRejectedCost uint64  `json:"persist_rejected_cost"`
 		RestartWarmHitRate  float64 `json:"restart_warm_hit_rate"`
 	} `json:"cluster"`
+	// Benchmark is the repository benchmark's own output, merged into
+	// the stamped document by CI: {"seed", "seconds", "workloads":
+	// {name: last JSON line of benchmark/run.sh}}. Only the result
+	// lines' failure count and metric values become series.
+	Benchmark *struct {
+		Workloads map[string]struct {
+			Failed  int64 `json:"failed"`
+			Metrics map[string]struct {
+				Value float64 `json:"value"`
+			} `json:"metrics"`
+		} `json:"workloads"`
+	} `json:"benchmark"`
 }
 
 // Extract flattens one lsra-bench JSON document into a Record. Stamped
@@ -171,8 +185,23 @@ func Extract(data []byte, fallback Meta) (*Record, error) {
 		}
 	}
 
-	// Serving: the content-addressed cache headline. Flat historical
-	// names — these are the metrics people grep for.
+	// Repository benchmark: each workload's end-to-end metrics as
+	// benchmark/run.sh printed them — the numbers BENCHMARK.json bounds
+	// and perf claims are made against — plus its failed operations.
+	if bm := doc.Benchmark; bm != nil {
+		for w, res := range bm.Workloads {
+			if len(res.Metrics) == 0 {
+				continue
+			}
+			for m, v := range res.Metrics {
+				put("bench."+w+"."+m, v.Value)
+			}
+			put("bench."+w+".failed", float64(res.Failed))
+		}
+	}
+
+	// Serving: the content-addressed cache headline of the deleted
+	// `lsra-bench -serve`, read from stored documents (BENCH_5 onward).
 	if s := doc.Serve; s != nil {
 		put("serve_cold_ns", float64(s.ColdNsPerProgram))
 		put("serve_warm_ns", float64(s.WarmNsPerProgram))
@@ -182,8 +211,9 @@ func Extract(data []byte, fallback Meta) (*Record, error) {
 
 	// Binary-codec corpus ladder: decode-only throughput per rung (keyed
 	// by a compact rung name — 100000 → "100k", 1000000 → "1m"; these
-	// are decode rates, not allocation rates), the decode+allocate
-	// rate, and the cold-serve wire-format duel.
+	// are decode rates, not allocation rates). The decode+allocate rate
+	// and the cold-serve wire-format duel are no longer written; stored
+	// documents (BENCH_8, BENCH_16) still carry them.
 	if c := doc.Corpus; c != nil {
 		for _, r := range c.Rungs {
 			name := rungName(r.Programs)

@@ -2,14 +2,37 @@ package perfdb
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
 
-// stampedDoc builds a minimal v1 lsra-bench document for tests.
-func stampedDoc(t *testing.T, commit string, at time.Time, serveCold, scanNs float64) []byte {
+// Result lines as benchmark/run.sh prints them (seed 1, 20 s, 2-vCPU
+// VM). The corpus-batch line is a real line with its outcome edited to
+// a failing run.
+const (
+	hotcoldLine      = `{"correct":true,"attempted":10500,"failed":0,"metrics":{"code_size_ratio":{"value":2.252299234072183,"unit":"ratio"},"cpu_ms_per_program":{"value":1.7914285714285714,"unit":"ms"},"dyn_instrs_ratio":{"value":1.9757332322849563,"unit":"ratio"},"heap_kb_per_program":{"value":523.8134955357143,"unit":"KiB"},"latency_p50_us":{"value":2287.175,"unit":"us"},"latency_p99_us":{"value":7893.948,"unit":"us"},"peak_rss_mb":{"value":58.7578125,"unit":"MiB"},"programs_per_s":{"value":823.5181896984823,"unit":"programs/s"},"setup_s":{"value":0.879937937,"unit":"s"},"sim_cycles_ratio":{"value":3.1271967643006358,"unit":"ratio"},"spill_instrs_pct":{"value":52.12744248133856,"unit":"%"}}}`
+	failingBatchLine = `{"correct":false,"attempted":32522,"failed":3,"metrics":{"code_size_ratio":{"value":1.6265192780530253,"unit":"ratio"},"cpu_ms_per_program":{"value":1.1999194391488839,"unit":"ms"},"dyn_instrs_ratio":{"value":1.526574395146698,"unit":"ratio"},"heap_kb_per_program":{"value":268.72475482942315,"unit":"KiB"},"latency_p50_us":{"value":952.823,"unit":"us"},"latency_p99_us":{"value":7005.328,"unit":"us"},"peak_rss_mb":{"value":410.16796875,"unit":"MiB"},"programs_per_s":{"value":1625.9384499261955,"unit":"programs/s"},"setup_s":{"value":1.917329082,"unit":"s"},"sim_cycles_ratio":{"value":2.1857043084258376,"unit":"ratio"},"spill_instrs_pct":{"value":36.33668775436975,"unit":"%"}}}`
+)
+
+// benchmarkSection builds the `benchmark` section CI merges into a
+// stamped document: workload name → result line.
+func benchmarkSection(lines map[string]string) map[string]any {
+	workloads := map[string]json.RawMessage{}
+	for w, line := range lines {
+		workloads[w] = json.RawMessage(line)
+	}
+	return map[string]any{"seed": 1, "seconds": 20, "workloads": workloads}
+}
+
+// stampedDoc builds a minimal v1 lsra-bench document for tests, with
+// serve-hotcold's programs_per_s in its benchmark section set to
+// programsPerS.
+func stampedDoc(t *testing.T, commit string, at time.Time, programsPerS, scanNs float64) []byte {
 	t.Helper()
+	line := fmt.Sprintf(`{"correct":true,"attempted":10500,"failed":0,"metrics":{"programs_per_s":{"value":%v,"unit":"programs/s"},"latency_p50_us":{"value":2287.175,"unit":"us"}}}`, programsPerS)
 	doc := map[string]any{
 		"meta": Meta{SchemaVersion: SchemaVersion, Commit: commit, Time: at, GoVersion: "go1.24.0", Host: "linux/amd64/test/8cpu"},
 		"allocation": []map[string]any{{
@@ -22,9 +45,10 @@ func stampedDoc(t *testing.T, commit string, at time.Time, serveCold, scanNs flo
 				"wall_time_ns": 236367,
 			},
 		}},
+		"benchmark": benchmarkSection(map[string]string{"serve-hotcold": line}),
 		"serve": map[string]any{
-			"cold_ns_per_program": serveCold,
-			"warm_ns_per_program": serveCold / 2,
+			"cold_ns_per_program": 2.9e6,
+			"warm_ns_per_program": 1.45e6,
 			"speedup":             2.0,
 			"cache_hit_rate":      0.99,
 		},
@@ -74,7 +98,7 @@ func stampedDoc(t *testing.T, commit string, at time.Time, serveCold, scanNs flo
 
 func TestExtractStampedDocument(t *testing.T) {
 	at := time.Date(2026, 8, 7, 10, 0, 0, 0, time.UTC)
-	rec, err := Extract(stampedDoc(t, "abc123", at, 2.9e6, 49000), Meta{})
+	rec, err := Extract(stampedDoc(t, "abc123", at, 866.2, 49000), Meta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +106,9 @@ func TestExtractStampedDocument(t *testing.T) {
 		t.Fatalf("meta = %+v", rec.Meta)
 	}
 	want := map[string]float64{
+		"bench.serve-hotcold.programs_per_s":  866.2,
+		"bench.serve-hotcold.latency_p50_us":  2287.175,
+		"bench.serve-hotcold.failed":          0,
 		"serve_cold_ns":                       2.9e6,
 		"serve_warm_ns":                       1.45e6,
 		"serve_speedup":                       2.0,
@@ -197,11 +224,117 @@ func TestExtractV0Fallback(t *testing.T) {
 	}
 }
 
+// TestExtractBenchmarkSection files each workload's result line as
+// bench.<workload>.<metric> series plus bench.<workload>.failed, skips a
+// workload that reported no metrics, and still rejects a document whose
+// only content is an empty section.
+func TestExtractBenchmarkSection(t *testing.T) {
+	doc, err := json.Marshal(map[string]any{
+		"meta": Meta{SchemaVersion: SchemaVersion, Commit: "abc123", Time: time.Date(2026, 10, 17, 10, 0, 0, 0, time.UTC)},
+		"benchmark": benchmarkSection(map[string]string{
+			"serve-hotcold": hotcoldLine,
+			"corpus-batch":  failingBatchLine,
+			"modules-jit":   `{"correct":false,"attempted":0,"failed":0,"metrics":{}}`,
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Extract(doc, Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []struct{ workload, text string }{
+		{"serve-hotcold", hotcoldLine},
+		{"corpus-batch", failingBatchLine},
+	} {
+		var res struct {
+			Failed  int64
+			Metrics map[string]struct{ Value float64 }
+		}
+		if err := json.Unmarshal([]byte(line.text), &res); err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Metrics) != 11 {
+			t.Fatalf("%s line has %d metrics, want BENCHMARK.json's 11", line.workload, len(res.Metrics))
+		}
+		for m, v := range res.Metrics {
+			name := "bench." + line.workload + "." + m
+			if got, ok := rec.Series[name]; !ok || got != v.Value {
+				t.Errorf("series[%q] = %v (present=%v), want %v", name, got, ok, v.Value)
+			}
+		}
+		name := "bench." + line.workload + ".failed"
+		if got, ok := rec.Series[name]; !ok || got != float64(res.Failed) {
+			t.Errorf("series[%q] = %v (present=%v), want %d", name, got, ok, res.Failed)
+		}
+	}
+	if got := rec.Series["bench.corpus-batch.failed"]; got != 3 {
+		t.Errorf("bench.corpus-batch.failed = %v, want 3", got)
+	}
+	if len(rec.Series) != 2*(11+1) {
+		t.Errorf("%d series, want 24: %v", len(rec.Series), rec.MetricNames())
+	}
+
+	empty := []byte(`{"meta":{"schema_version":1,"commit":"abc123"},"benchmark":{"seed":1,"seconds":20,"workloads":{"modules-jit":{"correct":true,"attempted":0,"failed":0,"metrics":{}}}}}`)
+	if _, err := Extract(empty, Meta{}); err == nil || !strings.Contains(err.Error(), "no extractable series") {
+		t.Errorf("empty benchmark section: err = %v, want no extractable series", err)
+	}
+}
+
 func TestExtractRejectsEmptyAndGarbage(t *testing.T) {
 	if _, err := Extract([]byte(`{}`), Meta{}); err == nil {
 		t.Error("empty document accepted")
 	}
 	if _, err := Extract([]byte(`not json`), Meta{}); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestExtractCommittedBenchFiles pins the read side of every section the
+// committed BENCH files carry, including the ones lsra-bench no longer
+// writes (-serve, the -corpus serve duel and decode+allocate loop, the
+// fleet's cluster section): backfilling the six files must keep yielding
+// the same series, file by file and in total.
+func TestExtractCommittedBenchFiles(t *testing.T) {
+	files := []struct {
+		name   string
+		series int
+	}{
+		{"BENCH_2.json", 77},
+		{"BENCH_5.json", 113},
+		{"BENCH_6.json", 185},
+		{"BENCH_7.json", 203},
+		{"BENCH_8.json", 216},
+		{"BENCH_16.json", 226},
+	}
+	names := map[string]bool{}
+	for _, f := range files {
+		data, err := os.ReadFile("../../" + f.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Extract(data, Meta{})
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if len(rec.Series) != f.series {
+			t.Errorf("%s: %d series, want %d", f.name, len(rec.Series), f.series)
+		}
+		for name := range rec.Series {
+			names[name] = true
+		}
+	}
+	if len(names) != 241 {
+		t.Errorf("%d distinct series names, want 241", len(names))
+	}
+	for _, name := range []string{
+		"serve_cold_ns", "serve_warm_ns", "serve_speedup", "serve_cache_hit_rate",
+		"serve_cold_text_ns", "serve_cold_binary_ns", "serve_binary_speedup",
+		"corpus_alloc_ns", "corpus_alloc_wall_ns", "corpus_alloc_workers", "corpus_decode_share",
+	} {
+		if !names[name] {
+			t.Errorf("no committed BENCH file yields %q", name)
+		}
 	}
 }

@@ -1,18 +1,24 @@
 // Package perfdb is the continuous performance observatory: an
 // append-only, file-backed time-series store for benchmark runs, the
-// series extraction that turns one `lsra-bench -all -json` document into
-// named metric series, resource attribution (rusage + GC) for the bench
-// driver, and the HTTP daemon (cmd/lsra-perfd) that ingests runs and
+// series extraction that turns one stamped `lsra-bench -json` document
+// into named metric series, resource attribution (rusage + GC) for the
+// bench driver, and the HTTP daemon (cmd/lsra-perfd) that ingests runs and
 // renders the trajectory as a self-contained HTML dashboard.
 //
-// The repo's committed BENCH_*.json snapshots are point-in-time; perfdb
-// gives them a time axis. One Record per bench invocation, keyed by
-// commit SHA + UTC timestamp + host fingerprint, with every number the
-// run produced flattened into named series (phase.scan.ns,
-// alloc.fpppp.wall_ns, serve_cold_ns, rusage.max_rss_bytes, ...), so a
+// The document's optional `benchmark` section carries the repository
+// benchmark's result lines (benchmark/run.sh, one per BENCHMARK.json
+// workload), filed as bench.<workload>.<metric> series: the numbers perf
+// claims are made against lead the dashboard. The repo's committed
+// BENCH_*.json snapshots are point-in-time; perfdb gives them a time
+// axis. One Record per bench invocation, keyed by commit SHA + UTC
+// timestamp + host fingerprint, with every number the run produced
+// flattened into named series (bench.serve-hotcold.programs_per_s,
+// phase.scan.ns, alloc.fpppp.wall_ns, rusage.max_rss_bytes, ...), so a
 // slow regression spread across several PRs shows up as a trend, and
 // changepoint flagging (internal/perfdb/stats, the same Mann-Whitney
-// machinery as cmd/benchguard) marks where a regime shifted.
+// machinery as cmd/benchguard) marks where a regime shifted. Sections
+// lsra-bench no longer writes (serve, the corpus decode+allocate loop
+// and serve duel, cluster) are still read from stored documents.
 package perfdb
 
 import (
@@ -64,9 +70,10 @@ type Record struct {
 	// name for backfills, "ingest" for live POSTs.
 	Source string `json:"source,omitempty"`
 	// Series maps metric name to value. Names are dot-paths grouping
-	// related metrics (phase.scan.ns, alloc.fpppp.wall_ns,
-	// quality.eqntott.instr_ratio); the serve headline metrics keep
-	// their historical flat names (serve_cold_ns, serve_warm_ns).
+	// related metrics (bench.corpus-batch.programs_per_s, phase.scan.ns,
+	// alloc.fpppp.wall_ns, quality.eqntott.instr_ratio); the older
+	// families keep their historical flat names (serve_cold_ns,
+	// corpus_decode_programs_per_sec_100k).
 	Series map[string]float64 `json:"series"`
 }
 

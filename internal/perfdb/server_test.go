@@ -45,8 +45,8 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 func TestServerIngestQueryDashboard(t *testing.T) {
 	ts, store := newTestServer(t)
 	base := time.Date(2026, 8, 7, 10, 0, 0, 0, time.UTC)
-	for i, cold := range []float64{2.9e6, 1.5e6} {
-		doc := stampedDoc(t, fmt.Sprintf("commit%d", i), base.Add(time.Duration(i)*time.Hour), cold, 49000+float64(i))
+	for i, rate := range []float64{826.9, 866.2} {
+		doc := stampedDoc(t, fmt.Sprintf("commit%d", i), base.Add(time.Duration(i)*time.Hour), rate, 49000+float64(i))
 		resp, err := http.Post(ts.URL+"/ingest", "application/json", bytes.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
@@ -73,11 +73,11 @@ func TestServerIngestQueryDashboard(t *testing.T) {
 		Metric string  `json:"metric"`
 		Points []Point `json:"points"`
 	}
-	if resp := getJSON(t, ts.URL+"/series?metric=serve_cold_ns", &series); resp.StatusCode != 200 {
+	if resp := getJSON(t, ts.URL+"/series?metric=bench.serve-hotcold.programs_per_s", &series); resp.StatusCode != 200 {
 		t.Fatalf("series status %d", resp.StatusCode)
 	}
-	if len(series.Points) != 2 || series.Points[0].Value != 2.9e6 || series.Points[1].Value != 1.5e6 {
-		t.Fatalf("serve_cold_ns points = %+v", series.Points)
+	if len(series.Points) != 2 || series.Points[0].Value != 826.9 || series.Points[1].Value != 866.2 {
+		t.Fatalf("bench.serve-hotcold.programs_per_s points = %+v", series.Points)
 	}
 
 	// Unknown metric is a 404; bare /series lists metric names.
@@ -125,12 +125,18 @@ func TestServerIngestQueryDashboard(t *testing.T) {
 		t.Errorf("dashboard content-type = %q", ct)
 	}
 	for _, want := range []string{
-		"lsra perf observatory", "2 runs", "serve_cold_ns", "phase.scan.ns",
+		"lsra perf observatory", "2 runs",
+		`<div class="label">bench.serve-hotcold.programs_per_s</div><div class="value">866</div><div class="delta"><span class="good">▲ +4.8%</span>`,
+		"<h2>bench</h2>", "bench.serve-hotcold.latency_p50_us", "2.29 ms",
+		"serve_cold_ns", "phase.scan.ns",
 		"rusage.max_rss_bytes", `<svg class="spark"`, "<polyline", "<title>",
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("dashboard missing %q", want)
 		}
+	}
+	if i, j := strings.Index(page, "<h2>bench</h2>"), strings.Index(page, "<h2>serve</h2>"); i < 0 || i > j {
+		t.Error("the benchmark's group does not open the per-group tables")
 	}
 	if strings.Contains(page, "<script") {
 		t.Error("dashboard must be self-contained: no scripts")
@@ -140,15 +146,16 @@ func TestServerIngestQueryDashboard(t *testing.T) {
 	}
 }
 
-// TestServerFlagsRegression feeds a long series with a clean step and
-// expects /regressions (and the dashboard) to flag it.
+// TestServerFlagsRegression feeds two long series with a clean step —
+// an engine phase cost and a benchmark workload's throughput — and
+// expects /regressions (and the dashboard) to flag both.
 func TestServerFlagsRegression(t *testing.T) {
 	ts, store := newTestServer(t)
 	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 	values := []float64{100, 101, 99, 100, 102, 98, 150, 151, 149, 150, 152, 148}
 	for i, v := range values {
 		rec := testRecord(fmt.Sprintf("c%02d", i), base.Add(time.Duration(i)*time.Hour),
-			map[string]float64{"phase.scan.ns": v * 1000})
+			map[string]float64{"phase.scan.ns": v * 1000, "bench.serve-hotcold.programs_per_s": 1e5 / v})
 		if _, err := store.Append(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -157,11 +164,13 @@ func TestServerFlagsRegression(t *testing.T) {
 		Regressions []Regression `json:"regressions"`
 	}
 	getJSON(t, ts.URL+"/regressions", &regs)
-	if len(regs.Regressions) != 1 {
-		t.Fatalf("regressions = %+v, want one", regs.Regressions)
+	if len(regs.Regressions) != 2 {
+		t.Fatalf("regressions = %+v, want two", regs.Regressions)
 	}
-	r := regs.Regressions[0]
-	if r.Metric != "phase.scan.ns" || r.Commit != "c06" || r.Delta < 0.4 {
+	if r := regs.Regressions[0]; r.Metric != "bench.serve-hotcold.programs_per_s" || r.Commit != "c06" || r.Delta > -0.3 {
+		t.Errorf("flagged regression = %+v", r)
+	}
+	if r := regs.Regressions[1]; r.Metric != "phase.scan.ns" || r.Commit != "c06" || r.Delta < 0.4 {
 		t.Errorf("flagged regression = %+v", r)
 	}
 	// The dashboard marks the flagged series.
