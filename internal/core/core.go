@@ -165,6 +165,7 @@ func (a *Allocator) AllocateOwned(p *ir.Proc) (*alloc.Result, error) {
 	if a.opts.SecondChance {
 		s := newScan(p, a.mach, a.opts, lv, lt, rb, &a.scratch)
 		if err := s.run(); err != nil {
+			s.release(&a.scratch)
 			return nil, fmt.Errorf("%s: %s: %w", a.Name(), p.Name, err)
 		}
 		tm.Mark(st, alloc.PhaseScan)

@@ -1,17 +1,24 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/ir"
 	"repro/internal/moves"
+	"repro/internal/scratch"
 	"repro/internal/target"
 )
 
-// edgeFix is one CFG edge's repair code, collected before mutation.
+// edgeFix is one CFG edge's repair code, collected before mutation: the
+// range [lo, hi) of the pooled code buffer.
 type edgeFix struct {
 	pred, succ *ir.Block
-	code       []ir.Instr
+	lo, hi     int32
 }
+
+// resolveTags classifies the instructions resolution inserts.
+var resolveTags = moves.Tags{Load: ir.TagResolveLoad, Store: ir.TagResolveStore, Move: ir.TagResolveMove}
 
 // resolve repairs the linear-order allocation assumptions across every CFG
 // edge (§2.4). For each edge p→s and each temporary live into s it
@@ -20,7 +27,15 @@ type edgeFix struct {
 // copy so register swaps come out in a semantically correct order. It
 // also runs the USED_CONSISTENCY dataflow and inserts the stores required
 // where a path reaches a point that exploited register/memory consistency
-// the path does not provide. sc supplies the pooled working storage.
+// the path does not provide.
+//
+// The repair code of every edge goes to pooled buffers first; then the
+// final procedure is written once, into one exact-size instruction arena
+// (and one operand arena for the repair code): each block's rewritten
+// body with its top and bottom repair code. Every block gets a
+// full-capacity sub-slice, so a later append (callee-save code) copies
+// out instead of overwriting the next block. sc supplies the pooled
+// working storage.
 func (s *scan) resolve(sc *scanScratch) {
 	ng := s.lv.NumGlobals()
 
@@ -33,69 +48,149 @@ func (s *scan) resolve(sc *scanScratch) {
 			func(b *ir.Block) *bitset.Set { return s.wrote[b.Order] })
 	}
 
-	fixes := sc.fixes[:0]
 	if cap(sc.busyRegs) < s.mach.NumRegs() {
 		sc.busyRegs = make([]bool, s.mach.NumRegs())
 	}
+	sc.botLoc = filled(sc.botLoc, ng, target.NoReg)
+	sc.topLoc = filled(sc.topLoc, ng, target.NoReg)
+	sc.seq.Reset()
+	scratchReg := s.edgeScratch(sc)
+	slotFor := s.frame.SlotOf
 
 	// Collect all repairs before mutating the CFG (edge splitting would
 	// otherwise disturb iteration and positions).
-	blocks := append(sc.rblocks[:0], s.p.Blocks...)
-	sc.rblocks = blocks
+	blocks := s.p.Blocks
+	fixes, code := sc.fixes[:0], sc.code[:0]
 	for _, pb := range blocks {
 		for _, sb := range pb.Succs {
-			code := s.resolveEdge(pb, sb, usedCIn, sc)
-			if len(code) > 0 {
-				fixes = append(fixes, edgeFix{pred: pb, succ: sb, code: code})
+			lo := len(code)
+			code = s.resolveEdge(code, pb, sb, usedCIn, sc, scratchReg, slotFor)
+			if len(code) > lo {
+				fixes = append(fixes, edgeFix{pred: pb, succ: sb, lo: int32(lo), hi: int32(len(code))})
 			}
 		}
 	}
-	for _, f := range fixes {
+
+	// Choose each fix's home: the bottom of a single-successor
+	// predecessor (before its operand-free terminator), the top of a
+	// single-predecessor successor, or a block splitting a critical edge.
+	nb := len(blocks)
+	sc.topFix = filled(sc.topFix, nb, -1)
+	sc.botFix = filled(sc.botFix, nb, -1)
+	splits := sc.splitFix[:0]
+	nInstrs, nOps := 0, 0
+	for i, f := range fixes {
 		switch {
 		case len(f.pred.Succs) == 1:
-			// Place at the bottom of the predecessor, before its
-			// (single-target, operand-free) terminator.
-			n := len(f.pred.Instrs)
-			instrs := make([]ir.Instr, 0, n+len(f.code))
-			instrs = append(instrs, f.pred.Instrs[:n-1]...)
-			instrs = append(instrs, f.code...)
-			instrs = append(instrs, f.pred.Instrs[n-1])
-			f.pred.Instrs = instrs
+			sc.botFix[f.pred.Order] = int32(i)
 		case len(f.succ.Preds) == 1:
-			f.succ.Instrs = append(f.code, f.succ.Instrs...)
+			sc.topFix[f.succ.Order] = int32(i)
 		default:
-			// Critical edge: split it to get a safe home for the code.
-			nb := s.p.SplitEdge(f.pred, f.succ)
-			nb.Instrs = append(f.code, nb.Instrs...)
-			nb.Depth = f.succ.Depth
-			if f.pred.Depth < nb.Depth {
-				nb.Depth = f.pred.Depth
-			}
+			sp := s.p.SplitEdge(f.pred, f.succ)
+			sp.Depth = min(f.pred.Depth, f.succ.Depth)
+			splits = append(splits, int32(i))
+			nInstrs += len(sp.Instrs)
 		}
+		for _, in := range code[f.lo:f.hi] {
+			nOps += len(in.Defs) + len(in.Uses)
+		}
+		nInstrs += int(f.hi - f.lo)
 	}
-	// Return the fix list and block snapshot to the scratch with their
-	// references dropped, so the pooled backing does not retain the
-	// procedure's repair code or blocks (and through them the whole
-	// rewritten procedure's arenas).
-	for i := range fixes {
-		fixes[i] = edgeFix{}
+	for _, b := range blocks {
+		nInstrs += int(s.body[b.Order].hi - s.body[b.Order].lo)
 	}
+
+	// Write the final procedure.
+	w := arenaWriter{instrs: make([]ir.Instr, nInstrs), ops: make([]ir.Operand, nOps)}
+	for _, b := range blocks {
+		start := w.n
+		if i := sc.topFix[b.Order]; i >= 0 {
+			w.repair(code[fixes[i].lo:fixes[i].hi])
+		}
+		body := s.out[s.body[b.Order].lo:s.body[b.Order].hi]
+		if i := sc.botFix[b.Order]; i >= 0 {
+			n := len(body)
+			w.body(body[:n-1])
+			w.repair(code[fixes[i].lo:fixes[i].hi])
+			w.body(body[n-1:])
+		} else {
+			w.body(body)
+		}
+		b.Instrs = w.instrs[start:w.n:w.n]
+	}
+	for k, i := range splits {
+		sp := s.p.Blocks[nb+k]
+		start := w.n
+		w.repair(code[fixes[i].lo:fixes[i].hi])
+		w.body(sp.Instrs)
+		sp.Instrs = w.instrs[start:w.n:w.n]
+	}
+
+	// Return the pooled buffers with their references dropped, so they
+	// do not retain the procedure's blocks.
+	clear(fixes)
 	sc.fixes = fixes[:0]
-	clear(blocks)
-	sc.rblocks = blocks[:0]
+	sc.code = code[:0]
+	sc.splitFix = splits[:0]
 }
 
-// resolveEdge computes the repair code for one edge. Locations at the
-// predecessor's bottom and the successor's top come from the dense
-// botRegs/topRegs arrays: the k-th live-in global of a block (ascending
-// global index) is the k-th entry, and membership rank recovers the
-// position for point lookups.
-func (s *scan) resolveEdge(pb, sb *ir.Block, usedCIn []*bitset.Set, sc *scanScratch) []ir.Instr {
-	bot := s.botRegs[pb.Order]
-	top := s.topRegs[sb.Order]
-	outP := s.lv.LiveOut[pb.Order]
-	consP := s.savedCons[pb.Order]
+// arenaWriter fills the final procedure's instruction arena in order.
+type arenaWriter struct {
+	instrs []ir.Instr
+	ops    []ir.Operand
+	n      int
+}
 
+// body appends rewritten instructions as they are.
+func (w *arenaWriter) body(ins []ir.Instr) { w.n += copy(w.instrs[w.n:], ins) }
+
+// repair appends repair code, moving its operands out of the pooled
+// sequencer arena into the procedure's own.
+func (w *arenaWriter) repair(ins []ir.Instr) {
+	for _, in := range ins {
+		in.Defs = w.take(in.Defs)
+		in.Uses = w.take(in.Uses)
+		w.instrs[w.n] = in
+		w.n++
+	}
+}
+
+func (w *arenaWriter) take(o []ir.Operand) []ir.Operand {
+	if len(o) == 0 {
+		return o
+	}
+	n := copy(w.ops, o)
+	d := w.ops[:n:n]
+	w.ops = w.ops[n:]
+	return d
+}
+
+// resolveEdge appends the repair code for edge pb→sb to code. It visits
+// only the live-in globals of sb that sit in a register at pb's bottom
+// or sb's top: every transfer has a register endpoint, and a temporary
+// in memory on both sides needs none. The visited globals are taken in
+// ascending index order, the order of the live-in set.
+func (s *scan) resolveEdge(code []ir.Instr, pb, sb *ir.Block, usedCIn []*bitset.Set, sc *scanScratch,
+	scratchReg moves.ScratchFunc, slotFor func(ir.Temp) int) []ir.Instr {
+	inS := s.lv.LiveIn[sb.Order]
+	botLoc, topLoc := sc.botLoc, sc.topLoc
+	visit := sc.visit[:0]
+	for _, e := range s.snapsOf(s.bot[pb.Order]) {
+		if inS.Contains(int(e.gi)) {
+			botLoc[e.gi] = e.r
+			visit = append(visit, e.gi)
+		}
+	}
+	for _, e := range s.snapsOf(s.top[sb.Order]) {
+		if botLoc[e.gi] == target.NoReg {
+			visit = append(visit, e.gi)
+		}
+		topLoc[e.gi] = e.r
+	}
+	slices.Sort(visit)
+	sc.visit = visit
+
+	consP := s.savedCons[pb.Order]
 	ts := sc.transfers[:0]
 	busyRegs := sc.busyRegs
 	busyDirty := sc.busyDirty[:0]
@@ -105,23 +200,11 @@ func (s *scan) resolveEdge(pb, sb *ir.Block, usedCIn []*bitset.Set, sc *scanScra
 			busyDirty = append(busyDirty, r)
 		}
 	}
-
-	k := 0 // rank of gi in LiveIn[sb]
-	// Rank cursor over LiveOut[pb]: ForEach ascends, so each lookup
-	// advances incrementally instead of rescanning the words (a full
-	// Rank per temp would make dense edges quadratic in the universe).
-	prevGi, prevRank := 0, 0
-	s.lv.LiveIn[sb.Order].ForEach(func(gi int) {
-		ls := top[k]
-		k++
+	for _, gi := range visit {
+		lp, ls := botLoc[gi], topLoc[gi]
+		botLoc[gi], topLoc[gi] = target.NoReg, target.NoReg
 		t := s.lv.Globals[gi]
 		cls := s.p.TempClass(t)
-		lp := target.NoReg
-		if outP.Contains(gi) {
-			r := prevRank + outP.CountRange(prevGi, gi)
-			prevGi, prevRank = gi, r
-			lp = bot[r]
-		}
 		inRegP := lp != target.NoReg
 		inRegS := ls != target.NoReg
 		if inRegP {
@@ -130,8 +213,8 @@ func (s *scan) resolveEdge(pb, sb *ir.Block, usedCIn []*bitset.Set, sc *scanScra
 		if inRegS {
 			markBusy(ls)
 		}
-		needCons := usedCIn != nil && usedCIn[sb.Order].Contains(gi)
-		consAtP := consP.Contains(gi)
+		needCons := usedCIn != nil && usedCIn[sb.Order].Contains(int(gi))
+		consAtP := consP.Contains(int(gi))
 
 		switch {
 		case inRegP && inRegS:
@@ -145,7 +228,7 @@ func (s *scan) resolveEdge(pb, sb *ir.Block, usedCIn []*bitset.Set, sc *scanScra
 				ts = append(ts, moves.Transfer{Temp: t, Class: cls,
 					Src: moves.RegLoc(lp), Dst: moves.SlotLoc(s.frame.SlotOf(t))})
 			}
-		case inRegP && !inRegS:
+		case inRegP:
 			// Register → memory: "we insert a store instruction (but
 			// only if a temporary's allocated register and memory home
 			// are inconsistent)."
@@ -153,36 +236,40 @@ func (s *scan) resolveEdge(pb, sb *ir.Block, usedCIn []*bitset.Set, sc *scanScra
 				ts = append(ts, moves.Transfer{Temp: t, Class: cls,
 					Src: moves.RegLoc(lp), Dst: moves.SlotLoc(s.frame.SlotOf(t))})
 			}
-		case !inRegP && inRegS:
+		default:
 			// Memory → register: load.
 			ts = append(ts, moves.Transfer{Temp: t, Class: cls,
 				Src: moves.SlotLoc(s.frame.SlotOf(t)), Dst: moves.RegLoc(ls)})
 		}
-	})
+	}
 	sc.transfers = ts
-	unmark := func() {
-		for _, r := range busyDirty {
-			busyRegs[r] = false
+	if len(ts) > 0 {
+		// The repair code runs on the edge: before sb's first original
+		// instruction (top or split placement) or before pb's Jmp
+		// (bottom placement). A scratch register for cycle breaking must
+		// be dead there: not holding any live-in value on either side
+		// and not hard-busy at the boundary.
+		sc.edgePos = s.out[s.body[pb.Order].hi-1].Pos
+		if b := s.body[sb.Order]; b.hi > b.lo {
+			sc.edgePos = s.out[b.lo].Pos
 		}
-		sc.busyDirty = busyDirty[:0]
+		code = sc.seq.Sequence(code, ts, scratchReg, slotFor, resolveTags)
 	}
-	if len(ts) == 0 {
-		unmark()
-		return nil
+	for _, r := range busyDirty {
+		busyRegs[r] = false
 	}
+	sc.busyDirty = busyDirty[:0]
+	return code
+}
 
-	// The repair code runs on the edge: before sb's first original
-	// instruction (top or split placement) or before pb's Jmp (bottom
-	// placement). A scratch register for cycle breaking must be dead
-	// there: not holding any live-in value on either side and not
-	// hard-busy at the boundary.
-	boundaryPos := pb.Instrs[len(pb.Instrs)-1].Pos
-	if len(sb.Instrs) > 0 {
-		boundaryPos = sb.Instrs[0].Pos
-	}
-	scratch := func(c target.Class) (target.Reg, bool) {
+// edgeScratch returns the scratch-register chooser of resolveEdge: a
+// register of the class that is not busy on the current edge (sc.busyRegs)
+// nor hard-busy at its boundary (sc.edgePos), and that needs no unplanned
+// callee save.
+func (s *scan) edgeScratch(sc *scanScratch) moves.ScratchFunc {
+	return func(c target.Class) (target.Reg, bool) {
 		for _, r := range s.mach.AllocOrder(c) {
-			if busyRegs[r] || s.rb.BusyAt(r, boundaryPos) {
+			if sc.busyRegs[r] || s.rb.BusyAt(r, sc.edgePos) {
 				continue
 			}
 			if !s.mach.CallerSaved(r) && !s.usedCallee[r] {
@@ -192,8 +279,16 @@ func (s *scan) resolveEdge(pb, sb *ir.Block, usedCIn []*bitset.Set, sc *scanScra
 		}
 		return target.NoReg, false
 	}
-	code := moves.Sequence(ts, scratch, func(t ir.Temp) int { return s.frame.SlotOf(t) },
-		moves.Tags{Load: ir.TagResolveLoad, Store: ir.TagResolveStore, Move: ir.TagResolveMove})
-	unmark()
-	return code
+}
+
+// snapsOf returns the register snapshot recorded over sp.
+func (s *scan) snapsOf(sp span) []regSnap { return s.snaps[sp.lo:sp.hi] }
+
+// filled returns buf resized to n entries, all v.
+func filled[T any](buf []T, n int, v T) []T {
+	buf = scratch.Grow(buf, n)
+	for i := range buf {
+		buf[i] = v
+	}
+	return buf
 }

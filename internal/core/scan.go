@@ -16,6 +16,16 @@ import (
 )
 
 // scan carries the state of the single allocate+rewrite pass (§2.3).
+//
+// Block boundaries cost what the register file holds, not what the live
+// sets hold. loc and regOcc are kept exact inverses, so the snapshot of
+// the occupied registers taken at each block's top and bottom records
+// every live global that is in a register there; a global absent from a
+// snapshot is in memory. ARE_CONSISTENT is kept as a running bitset over
+// the globals (consBits), updated wherever the scan writes loc or
+// consistent of a global, so saving it at a block's bottom copies words.
+// The rewritten blocks go to one pooled buffer (out); resolution writes
+// the final procedure from it.
 type scan struct {
 	p    *ir.Proc
 	mach *target.Machine
@@ -33,17 +43,18 @@ type scan struct {
 	regOcc     []ir.Temp    // register → occupant temp, or NoTemp
 	consistent []bool       // the ARE_CONSISTENT working bit per temp (At)
 	consLocal  []bool       // consistency established inside the current block
+	localSet   []ir.Temp    // temps whose consLocal was set in the current block
+	consBits   *bitset.Set  // per global: loc == NoReg || consistent
 
 	pinned     []bool       // registers untouchable while processing one instruction
 	pinnedList []target.Reg // registers pinned for the current instruction
 
 	// Per-block records for resolution (§2.4), indexed by Block.Order.
-	// topRegs/botRegs hold the register of the k-th live-in/live-out
-	// global (in ascending global-index order; NoReg = memory), carved
-	// from one pooled arena — the dense replacement for the per-block
-	// maps the resolution phase used to allocate.
-	topRegs   [][]target.Reg
-	botRegs   [][]target.Reg
+	// top/bot index snaps: the occupied registers holding a global live
+	// into (top) or out of (bot) the block, in register order.
+	snaps     []regSnap
+	top, bot  []span
+	body      []span        // the block's rewritten instructions in out
 	savedCons []*bitset.Set // ARE_CONSISTENT snapshot at block bottom (globals)
 	wrote     []*bitset.Set // WROTE_TR per block (kill)
 	usedC     []*bitset.Set // USED_CONSISTENCY per block (gen)
@@ -51,7 +62,7 @@ type scan struct {
 	wroteCur *bitset.Set
 	usedCCur *bitset.Set
 
-	out []ir.Instr // rewrite buffer for the current block
+	out []ir.Instr // rewrite buffer for every block, in layout order
 	cur *ir.Block
 
 	ubuf []ir.Temp
@@ -67,6 +78,15 @@ type scan struct {
 	consSolver *dataflow.SolverScratch
 }
 
+// regSnap records that register r holds the global with index gi.
+type regSnap struct {
+	r  target.Reg
+	gi int32
+}
+
+// span is the half-open range [lo, hi) of a pooled buffer.
+type span struct{ lo, hi int32 }
+
 // scanScratch holds the scan's per-temp, per-register and per-block
 // working arrays so that repeated allocation on the same Allocator (the
 // engine's batch hot path) reuses buffers instead of reallocating them
@@ -78,13 +98,15 @@ type scanScratch struct {
 	regOcc     []ir.Temp
 	consistent []bool
 	consLocal  []bool
+	localSet   []ir.Temp
+	consBits   bitset.Set
 	pinned     []bool
 	pinnedList []target.Reg
 	usedCallee []bool
-	topRegs    [][]target.Reg
-	botRegs    [][]target.Reg
-	topArena   []target.Reg
-	botArena   []target.Reg
+	snaps      []regSnap
+	top, bot   []span
+	body       []span
+	out        []ir.Instr
 	blockSets  bitset.Slab
 	savedCons  []*bitset.Set
 	wrote      []*bitset.Set
@@ -95,11 +117,19 @@ type scanScratch struct {
 
 	// Resolution-phase (§2.4) working storage.
 	consSolver dataflow.SolverScratch
-	rblocks    []*ir.Block
 	fixes      []edgeFix
+	code       []ir.Instr
+	seq        moves.Sequencer
 	transfers  []moves.Transfer
+	visit      []int32
+	botLoc     []target.Reg // per global, NoReg outside resolveEdge
+	topLoc     []target.Reg
+	topFix     []int32 // per block, index of the fix placed at its top or -1
+	botFix     []int32
+	splitFix   []int32 // fix of each block SplitEdge made, in order
 	busyRegs   []bool
 	busyDirty  []target.Reg
+	edgePos    int32 // position of the edge resolveEdge is sequencing
 }
 
 // grow is scratch.GrowCleared: every scan buffer either reaches other
@@ -121,8 +151,9 @@ func newScan(p *ir.Proc, mach *target.Machine, opts Options, lv *dataflow.Livene
 	sc.consLocal = grow(sc.consLocal, nt)
 	sc.pinned = grow(sc.pinned, nr)
 	sc.usedCallee = grow(sc.usedCallee, nr)
-	sc.topRegs = grow(sc.topRegs, nb)
-	sc.botRegs = grow(sc.botRegs, nb)
+	sc.top = grow(sc.top, nb)
+	sc.bot = grow(sc.bot, nb)
+	sc.body = grow(sc.body, nb)
 	sc.savedCons = grow(sc.savedCons, nb)
 	sc.wrote = grow(sc.wrote, nb)
 	sc.usedC = grow(sc.usedC, nb)
@@ -137,32 +168,21 @@ func newScan(p *ir.Proc, mach *target.Machine, opts Options, lv *dataflow.Livene
 	}
 	sc.wroteCur.Reset(ng)
 	sc.usedCCur.Reset(ng)
-
-	// Carve the per-block top/bottom location arrays out of two pooled
-	// arenas sized by the liveness sets.
-	topTotal, botTotal := 0, 0
-	for i := 0; i < nb; i++ {
-		topTotal += lv.LiveIn[i].Count()
-		botTotal += lv.LiveOut[i].Count()
-	}
-	sc.topArena = grow(sc.topArena, topTotal)
-	sc.botArena = grow(sc.botArena, botTotal)
-	topOff, botOff := 0, 0
-	for i := 0; i < nb; i++ {
-		tc, bc := lv.LiveIn[i].Count(), lv.LiveOut[i].Count()
-		sc.topRegs[i] = sc.topArena[topOff : topOff+tc : topOff+tc]
-		sc.botRegs[i] = sc.botArena[botOff : botOff+bc : botOff+bc]
-		topOff += tc
-		botOff += bc
-	}
+	// Every temporary starts in memory, hence consistent.
+	sc.consBits.Reset(ng)
+	sc.consBits.Fill()
 
 	// The Orig side tables are retained by the result: allocate the
 	// arena fresh, sized by the total operand count.
-	nOps := 0
+	nOps, nInstrs := 0, 0
 	for _, b := range p.Blocks {
+		nInstrs += len(b.Instrs)
 		for i := range b.Instrs {
 			nOps += len(b.Instrs[i].Uses) + len(b.Instrs[i].Defs)
 		}
+	}
+	if cap(sc.out) < nInstrs {
+		sc.out = make([]ir.Instr, 0, nInstrs+nInstrs/4)
 	}
 
 	s := &scan{
@@ -173,15 +193,20 @@ func newScan(p *ir.Proc, mach *target.Machine, opts Options, lv *dataflow.Livene
 		regOcc:     sc.regOcc,
 		consistent: sc.consistent,
 		consLocal:  sc.consLocal,
+		localSet:   sc.localSet[:0],
+		consBits:   &sc.consBits,
 		pinned:     sc.pinned,
 		pinnedList: sc.pinnedList[:0],
-		topRegs:    sc.topRegs,
-		botRegs:    sc.botRegs,
+		snaps:      sc.snaps[:0],
+		top:        sc.top,
+		bot:        sc.bot,
+		body:       sc.body,
 		savedCons:  sc.savedCons,
 		wrote:      sc.wrote,
 		usedC:      sc.usedC,
 		wroteCur:   &sc.wroteCur,
 		usedCCur:   &sc.usedCCur,
+		out:        sc.out[:0],
 		ubuf:       sc.ubuf[:0],
 		dbuf:       sc.dbuf[:0],
 		origArena:  make([]ir.Temp, nOps),
@@ -197,15 +222,19 @@ func newScan(p *ir.Proc, mach *target.Machine, opts Options, lv *dataflow.Livene
 }
 
 // release hands the scan's (possibly regrown) buffers back to the
-// scratch for the next allocation. The rewritten procedure keeps the
-// per-block instruction buffers and the orig arena, so those are not
-// pooled; everything released here must not be retained by the result.
+// scratch for the next allocation, with the rewrite buffer's references
+// dropped so the pooled backing does not retain the procedure. It runs
+// after resolve, or alone when the scan failed.
 func (s *scan) release(sc *scanScratch) {
 	if sc == nil {
 		return
 	}
+	clear(s.out)
+	sc.out = s.out[:0]
 	sc.ubuf, sc.dbuf = s.ubuf, s.dbuf
 	sc.pinnedList = s.pinnedList
+	sc.localSet = s.localSet[:0]
+	sc.snaps = s.snaps[:0]
 }
 
 // takeOrig carves an all-NoTemp side table of n entries from the
@@ -221,34 +250,44 @@ func (s *scan) takeOrig(n int) []ir.Temp {
 
 func (s *scan) iv(t ir.Temp) *lifetime.Interval { return s.lt.Intervals[t] }
 
-// run performs the combined allocate/rewrite sweep.
+// run performs the combined allocate/rewrite sweep. The rewritten blocks
+// stay in the rewrite buffer; resolve installs them.
 func (s *scan) run() error {
 	for _, b := range s.p.Blocks {
-		s.cur = b
-		s.startBlock(b)
-		s.out = make([]ir.Instr, 0, len(b.Instrs)+4)
-		for i := range b.Instrs {
-			if err := s.instr(&b.Instrs[i]); err != nil {
-				return fmt.Errorf("block %s, %v at pos %d: %w", b.Name, b.Instrs[i].Op, b.Instrs[i].Pos, err)
-			}
+		if err := s.block(b); err != nil {
+			return err
 		}
-		s.endBlock(b)
-		b.Instrs = s.out
 	}
+	return nil
+}
+
+// block allocates and rewrites one block into the rewrite buffer.
+func (s *scan) block(b *ir.Block) error {
+	s.cur = b
+	s.startBlock(b)
+	lo := len(s.out)
+	for i := range b.Instrs {
+		if err := s.instr(&b.Instrs[i]); err != nil {
+			return fmt.Errorf("block %s, %v at pos %d: %w", b.Name, b.Instrs[i].Op, b.Instrs[i].Pos, err)
+		}
+	}
+	s.endBlock(b)
+	s.body[b.Order] = span{int32(lo), int32(len(s.out))}
 	return nil
 }
 
 func (s *scan) startBlock(b *ir.Block) {
 	s.wroteCur.Clear()
 	s.usedCCur.Clear()
-	for i := range s.consLocal {
-		s.consLocal[i] = false
+	for _, t := range s.localSet {
+		s.consLocal[t] = false
 	}
+	s.localSet = s.localSet[:0]
 	if s.opts.StrictLinear {
 		// §2.6: conservatively reinitialize the working ARE_CONSISTENT
 		// vector with the intersection of the saved vectors of all
 		// predecessors; an unprocessed predecessor (still empty) clears
-		// everything.
+		// everything. This is the one per-block walk over the globals.
 		for gi, t := range s.lv.Globals {
 			val := len(b.Preds) > 0
 			for _, pred := range b.Preds {
@@ -258,49 +297,72 @@ func (s *scan) startBlock(b *ir.Block) {
 				}
 			}
 			s.consistent[t] = val
+			s.syncCons(t)
 		}
 	}
-	top := s.topRegs[b.Order]
-	k := 0
-	s.lv.LiveIn[b.Order].ForEach(func(gi int) {
-		top[k] = s.loc[s.lv.Globals[gi]]
-		k++
-	})
+	in := s.lv.LiveIn[b.Order]
+	lo := len(s.snaps)
+	for r, t := range s.regOcc {
+		if t == ir.NoTemp {
+			continue
+		}
+		if gi := s.lv.Index[t]; gi >= 0 && in.Contains(int(gi)) {
+			s.snaps = append(s.snaps, regSnap{target.Reg(r), gi})
+		}
+	}
+	s.top[b.Order] = span{int32(lo), int32(len(s.snaps))}
 }
 
 func (s *scan) endBlock(b *ir.Block) {
-	bot := s.botRegs[b.Order]
-	k := 0
-	s.lv.LiveOut[b.Order].ForEach(func(gi int) {
-		bot[k] = s.loc[s.lv.Globals[gi]]
-		k++
-	})
-
-	sc := s.savedCons[b.Order]
-	for gi, t := range s.lv.Globals {
-		// A temporary in memory is trivially consistent (its home is
-		// authoritative); one in a register carries its At bit.
-		if s.loc[t] == target.NoReg || s.consistent[t] {
-			sc.Add(gi)
+	out := s.lv.LiveOut[b.Order]
+	lo := len(s.snaps)
+	for r, t := range s.regOcc {
+		if t == ir.NoTemp {
+			continue
 		}
-	}
-
-	if !s.opts.StrictLinear {
+		gi := s.lv.Index[t]
+		if gi < 0 || !out.Contains(int(gi)) {
+			continue
+		}
+		s.snaps = append(s.snaps, regSnap{target.Reg(r), gi})
 		// Soundness refinement (documented in DESIGN.md): a live-out
 		// temporary whose register is believed consistent only by
 		// linear inheritance may have that belief consumed by edge
 		// resolution (store suppression) at this block's outgoing
 		// edges. Record it in the GEN set so the dataflow demands real
 		// consistency on entry, exactly as for in-block inhibitions.
-		s.lv.LiveOut[b.Order].ForEach(func(gi int) {
-			t := s.lv.Globals[gi]
-			if s.loc[t] != target.NoReg && s.consistent[t] && !s.consLocal[t] && !s.wroteCur.Contains(gi) {
-				s.usedCCur.Add(gi)
-			}
-		})
+		if !s.opts.StrictLinear && s.consistent[t] && !s.consLocal[t] && !s.wroteCur.Contains(int(gi)) {
+			s.usedCCur.Add(int(gi))
+		}
 	}
+	s.bot[b.Order] = span{int32(lo), int32(len(s.snaps))}
+
+	s.savedCons[b.Order].Copy(s.consBits)
 	s.wrote[b.Order].Copy(s.wroteCur)
 	s.usedC[b.Order].Copy(s.usedCCur)
+}
+
+// syncCons recomputes t's bit of the running ARE_CONSISTENT vector: a
+// temporary in memory is trivially consistent (its home is
+// authoritative); one in a register carries its At bit.
+func (s *scan) syncCons(t ir.Temp) {
+	gi := s.lv.Index[t]
+	if gi < 0 {
+		return
+	}
+	if s.loc[t] == target.NoReg || s.consistent[t] {
+		s.consBits.Add(int(gi))
+	} else {
+		s.consBits.Remove(int(gi))
+	}
+}
+
+// setLocal marks t's consistency as established in the current block.
+func (s *scan) setLocal(t ir.Temp) {
+	if !s.consLocal[t] {
+		s.consLocal[t] = true
+		s.localSet = append(s.localSet, t)
+	}
 }
 
 // pin marks r untouchable for the rest of the current instruction.
@@ -457,6 +519,7 @@ func (s *scan) takeSourceReg(d ir.Temp, pos int32, sources []target.Reg) target.
 	s.noteReg(best)
 	s.consistent[d] = false
 	s.consLocal[d] = false
+	s.syncCons(d)
 	return best
 }
 
@@ -527,6 +590,7 @@ func (s *scan) tryMoveOpt(ni *ir.Instr, pos int32) bool {
 		s.loc[occ] = target.NoReg
 		s.consistent[occ] = false
 		s.consLocal[occ] = false
+		s.syncCons(occ)
 	}
 	s.regOcc[rs] = d
 	s.loc[d] = rs
@@ -577,11 +641,12 @@ func (s *scan) ensure(t ir.Temp, pos int32, withLoad bool) (target.Reg, error) {
 			Uses: []ir.Operand{ir.SlotOp(s.frame.SlotOf(t), t)},
 		})
 		s.consistent[t] = true
-		s.consLocal[t] = true
+		s.setLocal(t)
 	} else {
 		s.consistent[t] = false
 		s.consLocal[t] = false
 	}
+	s.syncCons(t)
 	return r, nil
 }
 
@@ -722,6 +787,7 @@ func (s *scan) free(t ir.Temp) {
 	s.loc[t] = target.NoReg
 	s.consistent[t] = false
 	s.consLocal[t] = false
+	s.syncCons(t)
 }
 
 // markWrite records a write to t's register: memory and register diverge
@@ -729,6 +795,7 @@ func (s *scan) free(t ir.Temp) {
 func (s *scan) markWrite(t ir.Temp) {
 	s.consistent[t] = false
 	s.consLocal[t] = false
+	s.syncCons(t)
 	if gi := s.lv.GlobalIndex(t); gi >= 0 {
 		s.wroteCur.Add(gi)
 	}
@@ -754,6 +821,7 @@ func (s *scan) evict(u ir.Temp, pos int32) {
 		// since the next reference will overwrite the current value".
 		s.consistent[u] = false
 		s.consLocal[u] = false
+		s.syncCons(u)
 		return
 	}
 	if s.consistent[u] {
@@ -763,7 +831,7 @@ func (s *scan) evict(u ir.Temp, pos int32) {
 		if gi := s.lv.GlobalIndex(u); gi >= 0 && !s.consLocal[u] && !s.wroteCur.Contains(gi) {
 			s.usedCCur.Add(gi)
 		}
-		return
+		return // in memory and consistent: the ARE_CONSISTENT bit stays set
 	}
 	if s.opts.EarlySecondChance {
 		// "It might be true at this point that some other register rs
@@ -790,7 +858,7 @@ func (s *scan) evict(u ir.Temp, pos int32) {
 			s.regOcc[rs] = u
 			s.loc[u] = rs
 			s.noteReg(rs)
-			return
+			return // in a register and inconsistent: the bit stays clear
 		}
 	}
 	s.out = append(s.out, ir.Instr{
@@ -800,5 +868,6 @@ func (s *scan) evict(u ir.Temp, pos int32) {
 		Uses: []ir.Operand{ir.RegOp(r), ir.SlotOp(s.frame.SlotOf(u), u)},
 	})
 	s.consistent[u] = true
-	s.consLocal[u] = true
+	s.setLocal(u)
+	s.syncCons(u)
 }

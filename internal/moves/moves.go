@@ -71,82 +71,107 @@ type Tags struct {
 // if none exists (in which case cycles are broken through memory).
 type ScratchFunc func(c target.Class) (target.Reg, bool)
 
-// Sequence orders the transfers and emits the corresponding instructions.
-// SlotFor must return the spill slot of a temporary; it is consulted only
-// when a register cycle must be broken through memory and the cycle's
-// chosen temporary has a slot endpoint already or needs its home slot.
+// Sequence orders the transfers and emits the corresponding instructions
+// with throwaway working storage; see Sequencer.Sequence.
 func Sequence(ts []Transfer, scratch ScratchFunc, slotFor func(ir.Temp) int, tags Tags) []ir.Instr {
-	if len(ts) == 0 {
-		return nil
+	return new(Sequencer).Sequence(nil, ts, scratch, slotFor, tags)
+}
+
+// Sequencer holds the pooled working storage of Sequence: dense
+// per-register and per-slot source counts and destination marks, the
+// pending list, and the arena emitted operands are carved from. The zero
+// value is ready to use; one Sequencer serves one goroutine.
+type Sequencer struct {
+	regs, slots []locEntry // indexed by register and slot number
+	epoch       uint32     // entries of older epochs read as empty
+	pending     []Transfer
+	ops         []ir.Operand
+}
+
+// locEntry is one location's bookkeeping within a Sequence call.
+type locEntry struct {
+	epoch uint32
+	srcs  int32 // pending transfers reading the location
+	dst   bool  // some transfer writes the location
+}
+
+// Reset empties the operand arena. Operands of instructions emitted
+// before the call are reused afterwards, so the caller must have copied
+// them out (resolution copies each procedure's repair code into the
+// procedure's own storage before sequencing the next one).
+func (sq *Sequencer) Reset() { sq.ops = sq.ops[:0] }
+
+// entry returns l's bookkeeping for the current call, growing the dense
+// tables on demand and clearing an entry left by an earlier call.
+func (sq *Sequencer) entry(l Loc) *locEntry {
+	tab, i := &sq.regs, int(l.Reg)
+	if l.Kind == LocSlot {
+		tab, i = &sq.slots, l.Slot
 	}
-	pending := make([]Transfer, len(ts))
-	copy(pending, ts)
-	// Validate uniqueness of sources and destinations: the allocator
-	// guarantees one location holds one value and one transfer per temp.
-	srcCount := make(map[Loc]int, len(pending))
-	dstSeen := make(map[Loc]bool, len(pending))
-	for _, t := range pending {
+	if i >= len(*tab) {
+		*tab = append(*tab, make([]locEntry, i+1-len(*tab))...)
+	}
+	e := &(*tab)[i]
+	if e.epoch != sq.epoch {
+		*e = locEntry{epoch: sq.epoch}
+	}
+	return e
+}
+
+// operands carves n operands from the arena. A full arena is replaced,
+// not grown, so operands carved earlier stay where they are.
+func (sq *Sequencer) operands(n int) []ir.Operand {
+	k := len(sq.ops)
+	if k+n > cap(sq.ops) {
+		sq.ops = make([]ir.Operand, 0, max(2*cap(sq.ops), 64))
+		k = 0
+	}
+	sq.ops = sq.ops[:k+n]
+	return sq.ops[k : k+n : k+n]
+}
+
+// Sequence orders the transfers and appends the corresponding
+// instructions to out. SlotFor must return the spill slot of a
+// temporary; it is consulted only when a register cycle must be broken
+// through memory and the cycle's chosen temporary has a slot endpoint
+// already or needs its home slot. The emitted operands live in the
+// Sequencer's arena until the next Reset.
+func (sq *Sequencer) Sequence(out []ir.Instr, ts []Transfer, scratch ScratchFunc, slotFor func(ir.Temp) int, tags Tags) []ir.Instr {
+	if len(ts) == 0 {
+		return out
+	}
+	if sq.epoch++; sq.epoch == 0 {
+		clear(sq.regs)
+		clear(sq.slots)
+		sq.epoch = 1
+	}
+	// Validate uniqueness of destinations (the allocator guarantees one
+	// location holds one value and one transfer per temp), count the
+	// readers of every source and drop no-op transfers.
+	pending := sq.pending[:0]
+	for _, t := range ts {
 		if t.Src == t.Dst {
 			continue
 		}
-		srcCount[t.Src]++
-		if dstSeen[t.Dst] {
+		sq.entry(t.Src).srcs++
+		d := sq.entry(t.Dst)
+		if d.dst {
 			panic(fmt.Sprintf("moves: duplicate destination %v", t.Dst))
 		}
-		dstSeen[t.Dst] = true
+		d.dst = true
+		pending = append(pending, t)
 	}
-
-	var out []ir.Instr
-	emit := func(t Transfer) {
-		switch {
-		case t.Src.Kind == LocSlot && t.Dst.Kind == LocReg:
-			out = append(out, ir.Instr{
-				Op:   ir.SpillLd,
-				Tag:  tags.Load,
-				Defs: []ir.Operand{ir.RegOp(t.Dst.Reg)},
-				Uses: []ir.Operand{ir.SlotOp(t.Src.Slot, t.Temp)},
-			})
-		case t.Src.Kind == LocReg && t.Dst.Kind == LocSlot:
-			out = append(out, ir.Instr{
-				Op:   ir.SpillSt,
-				Tag:  tags.Store,
-				Uses: []ir.Operand{ir.RegOp(t.Src.Reg), ir.SlotOp(t.Dst.Slot, t.Temp)},
-			})
-		case t.Src.Kind == LocReg && t.Dst.Kind == LocReg:
-			op := ir.Mov
-			if t.Class == target.ClassFloat {
-				op = ir.FMov
-			}
-			out = append(out, ir.Instr{
-				Op:   op,
-				Tag:  tags.Move,
-				Defs: []ir.Operand{ir.RegOp(t.Dst.Reg)},
-				Uses: []ir.Operand{ir.RegOp(t.Src.Reg)},
-			})
-		default:
-			panic("moves: slot-to-slot transfer")
-		}
-	}
-
-	// Drop no-op transfers.
-	live := pending[:0]
-	for _, t := range pending {
-		if t.Src != t.Dst {
-			live = append(live, t)
-		}
-	}
-	pending = live
 
 	for len(pending) > 0 {
 		progressed := false
 		for i := 0; i < len(pending); {
 			t := pending[i]
-			if srcCount[t.Dst] > 0 {
+			if sq.entry(t.Dst).srcs > 0 {
 				i++
 				continue // destination still feeds another transfer
 			}
-			emit(t)
-			srcCount[t.Src]--
+			out = sq.emit(out, t, tags)
+			sq.entry(t.Src).srcs--
 			pending[i] = pending[len(pending)-1]
 			pending = pending[:len(pending)-1]
 			progressed = true
@@ -161,20 +186,43 @@ func Sequence(ts []Transfer, scratch ScratchFunc, slotFor func(ir.Temp) int, tag
 		if t.Src.Kind != LocReg || t.Dst.Kind != LocReg {
 			panic(fmt.Sprintf("moves: non-register cycle through %v -> %v", t.Src, t.Dst))
 		}
+		var aside Loc
 		if r, ok := scratch(t.Class); ok {
 			// Copy the cycle member aside, redirect its transfer.
-			emit(Transfer{Temp: t.Temp, Class: t.Class, Src: t.Src, Dst: RegLoc(r)})
-			srcCount[t.Src]--
-			srcCount[RegLoc(r)]++
-			pending[0].Src = RegLoc(r)
+			aside = RegLoc(r)
 		} else {
 			// Break through the temporary's own spill slot.
-			slot := slotFor(t.Temp)
-			emit(Transfer{Temp: t.Temp, Class: t.Class, Src: t.Src, Dst: SlotLoc(slot)})
-			srcCount[t.Src]--
-			srcCount[SlotLoc(slot)]++
-			pending[0].Src = SlotLoc(slot)
+			aside = SlotLoc(slotFor(t.Temp))
 		}
+		out = sq.emit(out, Transfer{Temp: t.Temp, Class: t.Class, Src: t.Src, Dst: aside}, tags)
+		sq.entry(t.Src).srcs--
+		sq.entry(aside).srcs++
+		pending[0].Src = aside
 	}
+	sq.pending = pending[:0]
 	return out
+}
+
+// emit appends the instruction performing one transfer.
+func (sq *Sequencer) emit(out []ir.Instr, t Transfer, tags Tags) []ir.Instr {
+	switch {
+	case t.Src.Kind == LocSlot && t.Dst.Kind == LocReg:
+		ops := sq.operands(2)
+		ops[0], ops[1] = ir.RegOp(t.Dst.Reg), ir.SlotOp(t.Src.Slot, t.Temp)
+		return append(out, ir.Instr{Op: ir.SpillLd, Tag: tags.Load, Defs: ops[:1:1], Uses: ops[1:]})
+	case t.Src.Kind == LocReg && t.Dst.Kind == LocSlot:
+		ops := sq.operands(2)
+		ops[0], ops[1] = ir.RegOp(t.Src.Reg), ir.SlotOp(t.Dst.Slot, t.Temp)
+		return append(out, ir.Instr{Op: ir.SpillSt, Tag: tags.Store, Uses: ops})
+	case t.Src.Kind == LocReg && t.Dst.Kind == LocReg:
+		op := ir.Mov
+		if t.Class == target.ClassFloat {
+			op = ir.FMov
+		}
+		ops := sq.operands(2)
+		ops[0], ops[1] = ir.RegOp(t.Dst.Reg), ir.RegOp(t.Src.Reg)
+		return append(out, ir.Instr{Op: op, Tag: tags.Move, Defs: ops[:1:1], Uses: ops[1:]})
+	default:
+		panic("moves: slot-to-slot transfer")
+	}
 }
