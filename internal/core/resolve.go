@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/bitset"
@@ -53,6 +54,7 @@ func (s *scan) resolve(sc *scanScratch) {
 	}
 	sc.botLoc = filled(sc.botLoc, ng, target.NoReg)
 	sc.topLoc = filled(sc.topLoc, ng, target.NoReg)
+	sc.visitBits = grow(sc.visitBits, (ng+63)/64)
 	sc.seq.Reset()
 	scratchReg := s.edgeScratch(sc)
 	slotFor := s.frame.SlotOf
@@ -174,21 +176,36 @@ func (s *scan) resolveEdge(code []ir.Instr, pb, sb *ir.Block, usedCIn []*bitset.
 	scratchReg moves.ScratchFunc, slotFor func(ir.Temp) int) []ir.Instr {
 	inS := s.lv.LiveIn[sb.Order]
 	botLoc, topLoc := sc.botLoc, sc.topLoc
-	visit := sc.visit[:0]
+	// Mark the visited globals in a bit vector and read them back in
+	// ascending order: sorting the few words touched is cheaper than
+	// sorting the globals.
+	vb, words := sc.visitBits, sc.visitWords[:0]
+	mark := func(gi int32) {
+		w := gi >> 6
+		if vb[w] == 0 {
+			words = append(words, w)
+		}
+		vb[w] |= 1 << (gi & 63)
+	}
 	for _, e := range s.snapsOf(s.bot[pb.Order]) {
 		if inS.Contains(int(e.gi)) {
 			botLoc[e.gi] = e.r
-			visit = append(visit, e.gi)
+			mark(e.gi)
 		}
 	}
 	for _, e := range s.snapsOf(s.top[sb.Order]) {
-		if botLoc[e.gi] == target.NoReg {
-			visit = append(visit, e.gi)
-		}
 		topLoc[e.gi] = e.r
+		mark(e.gi)
 	}
-	slices.Sort(visit)
-	sc.visit = visit
+	slices.Sort(words)
+	visit := sc.visit[:0]
+	for _, w := range words {
+		for x := vb[w]; x != 0; x &= x - 1 {
+			visit = append(visit, w<<6|int32(bits.TrailingZeros64(x)))
+		}
+		vb[w] = 0
+	}
+	sc.visit, sc.visitWords = visit, words
 
 	consP := s.savedCons[pb.Order]
 	ts := sc.transfers[:0]

@@ -122,6 +122,8 @@ type scanScratch struct {
 	seq        moves.Sequencer
 	transfers  []moves.Transfer
 	visit      []int32
+	visitBits  []uint64 // per word of globals, zero outside resolveEdge
+	visitWords []int32
 	botLoc     []target.Reg // per global, NoReg outside resolveEdge
 	topLoc     []target.Reg
 	topFix     []int32 // per block, index of the fix placed at its top or -1
