@@ -61,8 +61,9 @@ func digestCases() []digestCase {
 }
 
 // digestPrograms returns the golden corpus for a machine: the eleven
-// suite programs at scale 1, four seeds of every generator profile and
-// the three Table 3 modules.
+// suite programs at scale 1, four seeds of every generator profile, the
+// three Table 3 modules and the hand-built program that reaches the
+// displacement branch of move coalescing (progs.Displacement).
 func digestPrograms(m *regalloc.Machine) (names []string, ps []*ir.Program) {
 	for _, b := range progs.Suite() {
 		names = append(names, b.Name)
@@ -82,6 +83,8 @@ func digestPrograms(m *regalloc.Machine) (names []string, ps []*ir.Program) {
 		names = append(names, mod.Name)
 		ps = append(ps, mod.Prog)
 	}
+	names = append(names, "displacement")
+	ps = append(ps, progs.Displacement(m))
 	return names, ps
 }
 

@@ -15,8 +15,8 @@ import (
 )
 
 // invariantCorpus is the golden corpus of the root package's digest
-// test: the suite at scale 1, four seeds of every generator profile and
-// the Table 3 modules.
+// test: the suite at scale 1, four seeds of every generator profile, the
+// Table 3 modules and the displacement fixture.
 func invariantCorpus(m *target.Machine) map[string]*ir.Program {
 	out := map[string]*ir.Program{}
 	for _, b := range progs.Suite() {
@@ -34,35 +34,8 @@ func invariantCorpus(m *target.Machine) map[string]*ir.Program {
 	for _, mod := range progs.Table3Modules(m) {
 		out[mod.Name] = mod.Prog
 	}
-	out["displacement"] = displacementProg(m)
+	out["displacement"] = progs.Displacement(m)
 	return out
-}
-
-// displacementProg exercises the displacement of §2.5 move coalescing,
-// which the corpus never reaches: t's register goes to d while t, a
-// global whose register copy is newer than its home, sits in a lifetime
-// hole that reaches past the end of the entry block.
-func displacementProg(m *target.Machine) *ir.Program {
-	b := ir.NewBuilder(m, 16)
-	pb := b.NewProc("main")
-	then, els, join := pb.Block("then"), pb.Block("else"), pb.Block("join")
-	t, d, x, c := pb.IntTemp("t"), pb.IntTemp("d"), pb.IntTemp("x"), pb.IntTemp("c")
-	pb.Ldi(t, 1)
-	pb.Mov(d, ir.TempOp(t))
-	pb.Op2(ir.Add, x, ir.TempOp(d), ir.ImmOp(1))
-	pb.Call("puti", ir.NoTemp, ir.TempOp(x))
-	pb.Op2(ir.CmpLT, c, ir.TempOp(x), ir.ImmOp(5))
-	pb.Br(ir.TempOp(c), then, els)
-	pb.StartBlock(then)
-	pb.Ldi(t, 2)
-	pb.Jmp(join)
-	pb.StartBlock(els)
-	pb.Ldi(t, 3)
-	pb.Jmp(join)
-	pb.StartBlock(join)
-	pb.Call("puti", ir.NoTemp, ir.TempOp(t))
-	pb.Ret(t)
-	return b.Prog
 }
 
 // snapSet returns the register snapshot as a global → register map.
