@@ -23,17 +23,61 @@ import (
 )
 
 // SolverScratch holds the reusable working storage of the backward-union
-// solver: one bitset slab for the In/Out vectors plus the worklist. A
-// scratch must not be shared between concurrent solves, and the slices a
-// solve returns are valid only until the next Solve on the same scratch.
-// The zero value is ready to use.
+// solver: one bitset slab for the In/Out vectors, the postorder and its
+// depth-first walk, and the worklist. A scratch must not be shared
+// between concurrent solves, and the slices a solve returns are valid
+// only until the next Solve on the same scratch. The zero value is ready
+// to use.
 type SolverScratch struct {
-	slab   bitset.Slab
-	in     []*bitset.Set
-	out    []*bitset.Set
-	work   []*ir.Block
-	inWork []bool
-	tmp    bitset.Set
+	slab    bitset.Slab
+	in      []*bitset.Set
+	out     []*bitset.Set
+	po      []*ir.Block // postorder
+	rank    []int32     // Block.Order → index in po
+	pending []bool      // by rank: the worklist
+	seen    []bool      // by Block.Order, during the walk
+	stack   []dfsFrame
+	tmp     bitset.Set
+}
+
+// dfsFrame is one block on the depth-first walk's stack and the index of
+// the next successor to visit.
+type dfsFrame struct {
+	b    *ir.Block
+	next int
+}
+
+// postorder returns blocks in depth-first postorder over Succs: from the
+// first block (the entry), then from every block the walks so far have
+// not reached, in layout order, so that every block gets a place.
+func (sc *SolverScratch) postorder(blocks []*ir.Block) []*ir.Block {
+	po := sc.po[:0]
+	sc.seen = scratch.GrowCleared(sc.seen, len(blocks))
+	seen := sc.seen
+	stack := sc.stack[:0]
+	for _, root := range blocks {
+		if seen[root.Order] {
+			continue
+		}
+		seen[root.Order] = true
+		stack = append(stack, dfsFrame{b: root})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			if f.next < len(f.b.Succs) {
+				s := f.b.Succs[f.next]
+				f.next++
+				if !seen[s.Order] {
+					seen[s.Order] = true
+					stack = append(stack, dfsFrame{b: s})
+				}
+				continue
+			}
+			po = append(po, f.b)
+			stack = stack[:len(stack)-1]
+		}
+	}
+	sc.po, sc.stack = po, stack
+	return po
 }
 
 // Solve solves the classic backward union problem
@@ -64,21 +108,33 @@ func (sc *SolverScratch) Solve(blocks []*ir.Block, n int, gen, kill func(*ir.Blo
 			}
 		}
 	}
-	// Worklist seeded in reverse layout order (approximates reverse
-	// topological order, which converges fastest for backward problems).
-	work := sc.work[:0]
-	sc.inWork = scratch.GrowCleared(sc.inWork, nb)
-	inWork := sc.inWork
-	for i := nb - 1; i >= 0; i-- {
-		work = append(work, blocks[i])
-		inWork[blocks[i].Order] = true
+	// The worklist is kept in postorder and always yields its lowest
+	// pending block, so a block is solved after its successors (except
+	// across back edges): the order in which a backward problem
+	// converges fastest. A change to In(b) makes b's predecessors
+	// pending again.
+	po := sc.postorder(blocks)
+	sc.rank = scratch.Grow(sc.rank, nb)
+	rank := sc.rank
+	for i, b := range po {
+		rank[b.Order] = int32(i)
+	}
+	sc.pending = scratch.Grow(sc.pending, nb)
+	pending := sc.pending
+	for i := range pending {
+		pending[i] = true
 	}
 	sc.tmp.Reset(n)
 	tmp := &sc.tmp
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[b.Order] = false
+	for next := 0; ; next++ {
+		for next < nb && !pending[next] {
+			next++
+		}
+		if next == nb {
+			break
+		}
+		pending[next] = false
+		b := po[next]
 
 		o := out[b.Order]
 		for _, s := range b.Succs {
@@ -99,19 +155,19 @@ func (sc *SolverScratch) Solve(blocks []*ir.Block, n int, gen, kill func(*ir.Blo
 		if !tmp.Equal(in[b.Order]) {
 			in[b.Order].Copy(tmp)
 			for _, pred := range b.Preds {
-				if !inWork[pred.Order] {
-					inWork[pred.Order] = true
-					work = append(work, pred)
+				r := int(rank[pred.Order])
+				pending[r] = true
+				if r <= next {
+					next = r - 1 // the loop's next++ lands on r
 				}
 			}
 		}
 	}
-	// Clear the worklist's full capacity before pooling it: the tail
-	// holds *ir.Block pointers from this solve that would otherwise pin
-	// the procedure until the next one.
-	work = work[:cap(work)]
-	clear(work)
-	sc.work = work[:0]
+	// Clear the postorder's and the stack's full capacity before
+	// pooling them: their tails hold *ir.Block pointers from this solve
+	// that would otherwise pin the procedure until the next one.
+	clear(sc.po[:cap(sc.po)])
+	clear(sc.stack[:cap(sc.stack)])
 	return in, out
 }
 

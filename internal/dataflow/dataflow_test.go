@@ -297,3 +297,42 @@ func TestDenseMatchesSparseOnRandomCorpus(t *testing.T) {
 		}
 	}
 }
+
+// TestSolverVisitsPerBlock guards the solver's visit order. Solve calls
+// gen once per block to seed In and once more on every visit, so the
+// gen calls of a liveness solve, less one per block, count the visits.
+// Taking blocks in postorder solves the paper's modules and the suite in
+// under two visits per block; taking them in layout order, against the
+// direction of a backward problem, took 80.2 on twldrv.f.
+func TestSolverVisitsPerBlock(t *testing.T) {
+	mach := target.Alpha()
+	progsByName := map[string]*ir.Program{}
+	var names []string
+	for _, mod := range progs.Table3Modules(mach) {
+		names = append(names, mod.Name)
+		progsByName[mod.Name] = mod.Prog
+	}
+	for _, b := range progs.Suite() {
+		names = append(names, b.Name)
+		progsByName[b.Name] = b.Build(mach, 1)
+	}
+	var sc Scratch
+	for _, name := range names {
+		blocks, calls := 0, 0
+		for _, p := range progsByName[name].Procs {
+			p := p.Clone()
+			p.Renumber()
+			lv := sc.Compute(p)
+			sc.solver.Solve(p.Blocks, lv.NumGlobals(),
+				func(b *ir.Block) *bitset.Set { calls++; return sc.gen[b.Order] },
+				func(b *ir.Block) *bitset.Set { return sc.kill[b.Order] })
+			blocks += len(p.Blocks)
+			calls -= len(p.Blocks)
+		}
+		perBlock := float64(calls) / float64(blocks)
+		t.Logf("%s: %d blocks, %.2f visits per block", name, blocks, perBlock)
+		if perBlock > 2 {
+			t.Errorf("%s: the solver visits each block %.2f times, want at most 2", name, perBlock)
+		}
+	}
+}
