@@ -368,7 +368,8 @@ func BenchmarkVerify(b *testing.B) {
 	a := experiments.Binpack(mach)
 	var procs []*ir.Proc
 	for _, p := range bench.Build(mach, bench.DefaultScale).Procs {
-		res, err := a.Allocate(alloc.Prepare(p, nil, nil))
+		in, _ := alloc.Prepare(p, nil, nil, nil)
+		res, err := a.Allocate(in)
 		if err != nil {
 			b.Fatal(err)
 		}

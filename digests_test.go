@@ -60,34 +60,6 @@ func digestCases() []digestCase {
 			alloc: withOpts(func(o *core.Options) { o.EarlySecondChance = false })})
 }
 
-// digestPrograms returns the golden corpus for a machine: the eleven
-// suite programs at scale 1, four seeds of every generator profile, the
-// three Table 3 modules and the hand-built program that reaches the
-// displacement branch of move coalescing (progs.Displacement).
-func digestPrograms(m *regalloc.Machine) (names []string, ps []*ir.Program) {
-	for _, b := range progs.Suite() {
-		names = append(names, b.Name)
-		ps = append(ps, b.Build(m, 1))
-	}
-	for _, prof := range progs.Profiles() {
-		for seed := int64(1); seed <= 4; seed++ {
-			cfg, err := progs.ProfileGen(prof, seed)
-			if err != nil {
-				panic(err)
-			}
-			names = append(names, fmt.Sprintf("%s/%d", prof, seed))
-			ps = append(ps, progs.Random(m, cfg))
-		}
-	}
-	for _, mod := range progs.Table3Modules(m) {
-		names = append(names, mod.Name)
-		ps = append(ps, mod.Prog)
-	}
-	names = append(names, "displacement")
-	ps = append(ps, progs.Displacement(m))
-	return names, ps
-}
-
 // computeDigests allocates the golden grid through the engine's pass
 // ordering and returns one "<config> <machine> <program> <sha256>" line
 // per allocation, hashing the printed program with tags, or the error
@@ -105,7 +77,7 @@ func computeDigests(t *testing.T) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		names, corpus[c.mach] = digestPrograms(m)
+		names, corpus[c.mach] = progs.GoldenCorpus(m)
 	}
 	t.Run("grid", func(t *testing.T) {
 		for i, c := range cs {

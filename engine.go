@@ -8,13 +8,15 @@ import (
 	"time"
 
 	"repro/internal/alloc"
+	"repro/internal/opt"
 )
 
 // Engine is a reusable, concurrency-safe allocation pipeline for one
 // machine. Construct it once with New and use it for any number of
 // procedures or programs: each worker goroutine draws a pooled allocator
-// instance whose scratch buffers persist across allocations, so the
-// batch hot path stops re-allocating scan state per procedure.
+// instance and dead-code-elimination scratch whose buffers persist
+// across allocations, so the batch hot path stops re-allocating scan and
+// liveness state per procedure.
 type Engine struct {
 	mach        *Machine
 	algorithm   string
@@ -22,7 +24,14 @@ type Engine struct {
 	parallelism int
 	cache       ResultCache
 
-	pool sync.Pool // of Allocator instances, one per concurrent worker
+	pool sync.Pool // of *worker, one per concurrent worker
+}
+
+// worker is the pooled state of one concurrent pipeline run: an
+// allocator instance and the DCE scratch whose liveness it takes over.
+type worker struct {
+	a   Allocator
+	dce opt.Scratch
 }
 
 // Option configures an Engine at construction time.
@@ -161,7 +170,7 @@ func New(mach *Machine, opts ...Option) (*Engine, error) {
 				pp.SetPhaseProfile(true)
 			}
 		}
-		return a
+		return &worker{a: a}
 	}
 	return e, nil
 }
@@ -176,9 +185,9 @@ func (e *Engine) Algorithm() string { return e.algorithm }
 // with a pooled allocator and returns the rewritten procedure with
 // statistics. The input is not modified. Safe for concurrent use.
 func (e *Engine) AllocateProc(p *Proc) (*Result, error) {
-	a := e.pool.Get().(Allocator)
-	defer e.pool.Put(a)
-	return e.pipe.Run(a, p)
+	w := e.pool.Get().(*worker)
+	defer e.pool.Put(w)
+	return e.pipe.Run(w.a, &w.dce, p)
 }
 
 // AllocateProgram allocates every procedure of prog over the engine's

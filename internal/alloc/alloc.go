@@ -6,8 +6,10 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/scratch"
 	"repro/internal/target"
@@ -24,10 +26,13 @@ type Allocator interface {
 // OwnedAllocator is implemented by allocators that can consume a
 // procedure the caller owns outright: AllocateOwned rewrites p in place
 // (p must not be used afterwards) and skips the defensive clone that
-// Allocate performs. The engine uses it so a procedure is cloned exactly
-// once per pipeline run instead of once per pass.
+// Allocate performs. A non-nil lv is the liveness of p as it stands, the
+// one Prepare returns; the allocator uses it in place of computing its
+// own and must not keep it past the call. The engine uses this path so
+// that a procedure is cloned, and its liveness computed, once per
+// pipeline run instead of once per pass.
 type OwnedAllocator interface {
-	AllocateOwned(p *ir.Proc) (*Result, error)
+	AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*Result, error)
 }
 
 // PhaseProfiler is implemented by allocators that can annotate their
@@ -173,7 +178,8 @@ func (f *Frame) NumSpilled() int {
 // is indexed by register number (a dense RegSet; allocators keep one in
 // their pooled scratch instead of a per-run map). Both allocators need
 // this: using a callee-saved register obligates the procedure to
-// preserve its value.
+// preserve its value. The save slots run in step with the registers, and
+// every save and restore takes its operands from one backing array.
 func InsertCalleeSaves(p *ir.Proc, mach *target.Machine, used []bool) int {
 	var regs []target.Reg
 	for c := target.Class(0); c < target.NumClasses; c++ {
@@ -186,17 +192,29 @@ func InsertCalleeSaves(p *ir.Proc, mach *target.Machine, used []bool) int {
 	if len(regs) == 0 {
 		return 0
 	}
-	slots := make(map[target.Reg]int, len(regs))
-	for _, r := range regs {
-		slots[r] = p.NewSlot()
+	slots := make([]int, len(regs))
+	for i := range regs {
+		slots[i] = p.NewSlot()
+	}
+	rets := 0
+	for _, b := range p.Blocks {
+		if t := b.Terminator(); t != nil && t.Op == ir.Ret {
+			rets++
+		}
+	}
+	// Every save and restore has two operands, register and slot.
+	ops := make([]ir.Operand, 0, 2*len(regs)*(1+rets))
+	operands := func(i int) []ir.Operand {
+		ops = append(ops, ir.RegOp(regs[i]), ir.SlotOp(slots[i], ir.NoTemp))
+		return ops[len(ops)-2 : len(ops) : len(ops)]
 	}
 	entry := p.Entry()
 	pro := make([]ir.Instr, 0, len(regs)+len(entry.Instrs))
-	for _, r := range regs {
+	for i := range regs {
 		pro = append(pro, ir.Instr{
 			Op:   ir.SpillSt,
 			Tag:  ir.TagSave,
-			Uses: []ir.Operand{ir.RegOp(r), ir.SlotOp(slots[r], ir.NoTemp)},
+			Uses: operands(i),
 		})
 	}
 	entry.Instrs = append(pro, entry.Instrs...)
@@ -205,18 +223,18 @@ func InsertCalleeSaves(p *ir.Proc, mach *target.Machine, used []bool) int {
 		if t == nil || t.Op != ir.Ret {
 			continue
 		}
-		body := b.Instrs[:len(b.Instrs)-1]
-		tail := make([]ir.Instr, 0, len(regs)+1)
-		for _, r := range regs {
-			tail = append(tail, ir.Instr{
+		ret := *t
+		body := slices.Grow(b.Instrs[:len(b.Instrs)-1], len(regs)+1)
+		for i := range regs {
+			o := operands(i)
+			body = append(body, ir.Instr{
 				Op:   ir.SpillLd,
 				Tag:  ir.TagRestore,
-				Defs: []ir.Operand{ir.RegOp(r)},
-				Uses: []ir.Operand{ir.SlotOp(slots[r], ir.NoTemp)},
+				Defs: o[:1:1],
+				Uses: o[1:],
 			})
 		}
-		tail = append(tail, *t)
-		b.Instrs = append(body, tail...)
+		b.Instrs = append(body, ret)
 	}
 	return len(regs)
 }

@@ -3,6 +3,7 @@ package alloc
 import (
 	"fmt"
 
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/target"
@@ -30,28 +31,36 @@ type Pipeline struct {
 }
 
 // Prepare is the pipeline's pre-allocation step: it clones p, so the
-// input is never modified, and runs dead-code elimination on the clone.
-// A non-nil tm charges the clone to PhaseOther and DCE to PhaseOpt in st.
-func Prepare(p *ir.Proc, tm *Timer, st *Stats) *ir.Proc {
+// input is never modified, and runs dead-code elimination on the clone
+// in dce (nil for throwaway storage). It returns the clone and its
+// liveness, which the last round of dead-code elimination computed on
+// exactly the clone and which is valid until dce's next use. A non-nil tm
+// charges the clone to PhaseOther and DCE to PhaseOpt in st.
+func Prepare(p *ir.Proc, dce *opt.Scratch, tm *Timer, st *Stats) (*ir.Proc, *dataflow.Liveness) {
 	in := p.Clone()
 	tm.Mark(st, PhaseOther)
-	opt.DeadCodeElim(in)
+	if dce == nil {
+		dce = new(opt.Scratch)
+	}
+	_, lv := dce.DeadCodeElim(in)
 	tm.Mark(st, PhaseOpt)
-	return in
+	return in, lv
 }
 
 // Run allocates one procedure with a, which the caller must not share
-// with a concurrent Run. The input is not modified; for an
-// OwnedAllocator the clone Prepare makes is the only defensive copy on
-// the whole pipeline.
-func (pl Pipeline) Run(a Allocator, p *ir.Proc) (*Result, error) {
+// with a concurrent Run, and runs dead-code elimination in dce (nil for
+// throwaway storage; the engine keeps one per worker, next to the
+// allocator). The input is not modified; for an OwnedAllocator the clone
+// Prepare makes is the only defensive copy on the whole pipeline, and
+// the liveness DCE computed is the allocator's.
+func (pl Pipeline) Run(a Allocator, dce *opt.Scratch, p *ir.Proc) (*Result, error) {
 	tm := NewTimer(pl.ProfileAllocs)
 	var own Stats // phases the pipeline itself accounts for
-	in := Prepare(p, &tm, &own)
+	in, lv := Prepare(p, dce, &tm, &own)
 	var res *Result
 	var err error
 	if oa, ok := a.(OwnedAllocator); ok {
-		res, err = oa.AllocateOwned(in)
+		res, err = oa.AllocateOwned(in, lv)
 	} else {
 		res, err = a.Allocate(in)
 	}
@@ -86,13 +95,15 @@ func (pl Pipeline) Run(a Allocator, p *ir.Proc) (*Result, error) {
 }
 
 // Program runs the pipeline over every procedure of prog in order with
-// one allocator instance and returns the allocated program plus the
-// aggregate statistics. The input program is not modified.
+// one allocator instance and one DCE scratch, and returns the allocated
+// program plus the aggregate statistics. The input program is not
+// modified.
 func (pl Pipeline) Program(a Allocator, prog *ir.Program) (*ir.Program, Stats, error) {
 	results := make([]*Result, len(prog.Procs))
 	var agg Stats
+	var dce opt.Scratch
 	for i, p := range prog.Procs {
-		res, err := pl.Run(a, p)
+		res, err := pl.Run(a, &dce, p)
 		if err != nil {
 			return nil, agg, fmt.Errorf("%s: %s: %w", a.Name(), p.Name, err)
 		}

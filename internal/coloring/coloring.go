@@ -57,19 +57,23 @@ var _ alloc.Allocator = (*Allocator)(nil)
 // Allocate clones p, colors both register files, rewrites the clone and
 // returns it with statistics.
 func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return a.AllocateOwned(orig.Clone())
+	return a.AllocateOwned(orig.Clone(), nil)
 }
 
 // AllocateOwned colors a procedure the caller owns: p is rewritten in
-// place and must not be used afterwards.
-func (a *Allocator) AllocateOwned(p *ir.Proc) (*alloc.Result, error) {
+// place and must not be used afterwards. lv, when not nil, is p's
+// liveness (see alloc.OwnedAllocator); otherwise it is computed here.
+// Either way it is the one liveness of every round.
+func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
 	tm := alloc.NewTimer(a.profileAllocs)
 	p.Renumber()
 	tm.Mark(&res.Stats, alloc.PhaseOther)
 	cfg.ComputeLoopDepths(p)
 	tm.Mark(&res.Stats, alloc.PhaseCFG)
-	lv := dataflow.Compute(p)
+	if lv == nil {
+		lv = dataflow.Compute(p)
+	}
 	tm.Mark(&res.Stats, alloc.PhaseDataflow)
 
 	start := time.Now()

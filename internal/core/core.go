@@ -131,14 +131,16 @@ func (a *Allocator) SetPhaseProfile(on bool) { a.opts.ProfileAllocs = on }
 // Allocate clones p, allocates registers, rewrites the clone, and returns
 // it with statistics. The input procedure is not modified.
 func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return a.AllocateOwned(orig.Clone())
+	return a.AllocateOwned(orig.Clone(), nil)
 }
 
 // AllocateOwned allocates registers for a procedure the caller owns: p
-// is rewritten in place (and must not be used afterwards). The engine
-// uses this path so each procedure is cloned exactly once per pipeline
-// run.
-func (a *Allocator) AllocateOwned(p *ir.Proc) (*alloc.Result, error) {
+// is rewritten in place (and must not be used afterwards). lv, when not
+// nil, is p's liveness (see alloc.OwnedAllocator); otherwise the
+// allocator computes it in its pooled scratch. The engine uses this path
+// so each procedure is cloned, and its liveness computed, exactly once
+// per pipeline run.
+func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
 	st := &res.Stats
 	tm := alloc.NewTimer(a.opts.ProfileAllocs)
@@ -150,7 +152,9 @@ func (a *Allocator) AllocateOwned(p *ir.Proc) (*alloc.Result, error) {
 	// allocators, §3.2).
 	cfg.ComputeLoopDepths(p)
 	tm.Mark(st, alloc.PhaseCFG)
-	lv := a.df.Compute(p)
+	if lv == nil {
+		lv = a.df.Compute(p)
+	}
 	tm.Mark(st, alloc.PhaseDataflow)
 
 	start := time.Now()

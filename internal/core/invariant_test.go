@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/bitset"
 	"repro/internal/cfg"
-	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/lifetime"
 	"repro/internal/progs"
@@ -15,26 +13,13 @@ import (
 )
 
 // invariantCorpus is the golden corpus of the root package's digest
-// test: the suite at scale 1, four seeds of every generator profile, the
-// Table 3 modules and the displacement fixture.
+// test, by name.
 func invariantCorpus(m *target.Machine) map[string]*ir.Program {
-	out := map[string]*ir.Program{}
-	for _, b := range progs.Suite() {
-		out[b.Name] = b.Build(m, 1)
+	names, ps := progs.GoldenCorpus(m)
+	out := make(map[string]*ir.Program, len(names))
+	for i, name := range names {
+		out[name] = ps[i]
 	}
-	for _, prof := range progs.Profiles() {
-		for seed := int64(1); seed <= 4; seed++ {
-			c, err := progs.ProfileGen(prof, seed)
-			if err != nil {
-				panic(err)
-			}
-			out[fmt.Sprintf("%s/%d", prof, seed)] = progs.Random(m, c)
-		}
-	}
-	for _, mod := range progs.Table3Modules(m) {
-		out[mod.Name] = mod.Prog
-	}
-	out["displacement"] = progs.Displacement(m)
 	return out
 }
 
@@ -124,10 +109,9 @@ func TestScanBoundaryInvariants(t *testing.T) {
 		var sc scanScratch // shared, as on one pooled Allocator
 		for name, prog := range invariantCorpus(mach) {
 			for _, orig := range prog.Procs {
-				p := alloc.Prepare(orig, nil, &alloc.Stats{})
+				p, lv := alloc.Prepare(orig, nil, nil, &alloc.Stats{})
 				p.Renumber()
 				cfg.ComputeLoopDepths(p)
-				lv := dataflow.Compute(p)
 				s := newScan(p, mach, opts, lv, lifetime.Compute(p, lv), lifetime.ComputeRegBusy(p, mach), &sc)
 				for _, b := range p.Blocks {
 					top := inRegs(s, lv.LiveIn[b.Order])

@@ -58,19 +58,22 @@ type span struct {
 // Allocate clones p, assigns whole flat intervals to registers with the
 // furthest-end spill heuristic, rewrites, and returns statistics.
 func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return a.AllocateOwned(orig.Clone())
+	return a.AllocateOwned(orig.Clone(), nil)
 }
 
 // AllocateOwned allocates a procedure the caller owns: p is rewritten in
-// place and must not be used afterwards.
-func (a *Allocator) AllocateOwned(p *ir.Proc) (*alloc.Result, error) {
+// place and must not be used afterwards. lv, when not nil, is p's
+// liveness (see alloc.OwnedAllocator); otherwise it is computed here.
+func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
 	tm := alloc.NewTimer(a.profileAllocs)
 	p.Renumber()
 	tm.Mark(&res.Stats, alloc.PhaseOther)
 	cfg.ComputeLoopDepths(p)
 	tm.Mark(&res.Stats, alloc.PhaseCFG)
-	lv := dataflow.Compute(p)
+	if lv == nil {
+		lv = dataflow.Compute(p)
+	}
 	tm.Mark(&res.Stats, alloc.PhaseDataflow)
 
 	start := time.Now()

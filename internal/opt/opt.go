@@ -10,43 +10,80 @@ package opt
 import (
 	"repro/internal/dataflow"
 	"repro/internal/ir"
+	"repro/internal/scratch"
 	"repro/internal/target"
 )
+
+// Scratch holds the reusable working storage of dead-code elimination:
+// the liveness scratch its rounds run on, and the per-block live and keep
+// vectors. One scratch serves one goroutine; the Liveness DeadCodeElim
+// returns is owned by the scratch and valid until the next call on it.
+// The zero value is ready to use.
+type Scratch struct {
+	df         dataflow.Scratch
+	live       []bool    // by temp; all false between blocks
+	liveDirty  []ir.Temp // temps set in live during the current block
+	keep       []bool    // by instruction of the current block
+	dbuf, ubuf []ir.Temp
+}
 
 // DeadCodeElim removes instructions whose results are never used: a def
 // of a temporary not live after the instruction, with no side effects.
 // Instructions defining physical registers, stores, calls and terminators
-// are always kept. Returns the number of instructions removed.
-func DeadCodeElim(p *ir.Proc) int {
+// are always kept. Removing an instruction can make its operands dead, so
+// rounds of liveness and removal repeat until one removes nothing.
+//
+// It returns the number of instructions removed and the liveness of the
+// last round. That round changed nothing, so the liveness is exactly
+// that of p as DeadCodeElim leaves it (renumbered): the pipeline hands it
+// to the allocator instead of computing it again.
+func (sc *Scratch) DeadCodeElim(p *ir.Proc) (int, *dataflow.Liveness) {
 	removed := 0
 	for {
 		p.Renumber()
-		lv := dataflow.Compute(p)
-		n := removeDead(p, lv)
+		lv := sc.df.Compute(p)
+		n := sc.removeDead(p, lv)
 		removed += n
 		if n == 0 {
-			return removed
+			return removed, lv
 		}
 	}
 }
 
-func removeDead(p *ir.Proc, lv *dataflow.Liveness) int {
+// DeadCodeElim is Scratch.DeadCodeElim with throwaway storage, returning
+// only the number of instructions removed.
+func DeadCodeElim(p *ir.Proc) int {
+	n, _ := new(Scratch).DeadCodeElim(p)
+	return n
+}
+
+// removeDead makes one backward pass over each block, with lv's live-out
+// set as the block's exit state, and deletes the removable instructions
+// whose results are dead where they are written.
+func (sc *Scratch) removeDead(p *ir.Proc, lv *dataflow.Liveness) int {
 	removed := 0
-	var dbuf []ir.Temp
-	live := make([]bool, p.NumTemps())
+	sc.live = scratch.GrowCleared(sc.live, p.NumTemps())
+	live := sc.live
+	dirty := sc.liveDirty[:0]
+	mark := func(t ir.Temp) {
+		if !live[t] {
+			live[t] = true
+			dirty = append(dirty, t)
+		}
+	}
+	dbuf, ubuf := sc.dbuf, sc.ubuf
 	for _, b := range p.Blocks {
 		// Per-block backward liveness over all temps (locals included).
-		for i := range live {
-			live[i] = false
-		}
-		lv.LiveOut[b.Order].ForEach(func(gi int) { live[lv.Globals[gi]] = true })
+		lv.LiveOut[b.Order].ForEach(func(gi int) { mark(lv.Globals[gi]) })
 
-		keep := make([]bool, len(b.Instrs))
+		sc.keep = scratch.Grow(sc.keep, len(b.Instrs))
+		keep := sc.keep
+		dropped := 0
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			keep[i] = true
+			dbuf = in.DefTemps(dbuf[:0])
 			if isRemovable(in) {
-				dbuf = in.DefTemps(dbuf[:0])
 				allDead := true
 				for _, d := range dbuf {
 					if live[d] {
@@ -56,18 +93,23 @@ func removeDead(p *ir.Proc, lv *dataflow.Liveness) int {
 				}
 				if allDead && len(dbuf) > 0 {
 					keep[i] = false
-					removed++
+					dropped++
 					continue // a dead instruction's uses do not count
 				}
 			}
-			for _, d := range in.DefTemps(dbuf[:0]) {
+			for _, d := range dbuf {
 				live[d] = false
 			}
-			for _, u := range in.UseTemps(dbuf[:0]) {
-				live[u] = true
+			ubuf = in.UseTemps(ubuf[:0])
+			for _, u := range ubuf {
+				mark(u)
 			}
 		}
-		if removed > 0 {
+		for _, t := range dirty {
+			live[t] = false
+		}
+		dirty = dirty[:0]
+		if dropped > 0 {
 			out := b.Instrs[:0]
 			for i := range b.Instrs {
 				if keep[i] {
@@ -75,8 +117,10 @@ func removeDead(p *ir.Proc, lv *dataflow.Liveness) int {
 				}
 			}
 			b.Instrs = out
+			removed += dropped
 		}
 	}
+	sc.liveDirty, sc.dbuf, sc.ubuf = dirty, dbuf, ubuf
 	return removed
 }
 

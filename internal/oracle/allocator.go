@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/alloc"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/target"
 )
@@ -51,17 +52,18 @@ var _ alloc.OwnedAllocator = (*Allocator)(nil)
 
 // Allocate clones p and allocates the clone.
 func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return a.AllocateOwned(orig.Clone())
+	return a.AllocateOwned(orig.Clone(), nil)
 }
 
 // AllocateOwned allocates a procedure the caller owns: p is rewritten
-// in place and must not be used afterwards.
-func (a *Allocator) AllocateOwned(p *ir.Proc) (*alloc.Result, error) {
+// in place and must not be used afterwards. lv, when not nil, is p's
+// liveness (see alloc.OwnedAllocator).
+func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
 	tm := alloc.NewTimer(a.profileAllocs)
 	start := time.Now()
 
-	plan := planProc(p, a.mach, a.profile.FreqFunc(p.Name), a.lim)
+	plan := planProc(p, lv, a.mach, a.profile.FreqFunc(p.Name), a.lim)
 	tm.Mark(&res.Stats, alloc.PhaseScan)
 
 	res.Stats.Candidates = p.NumTemps()

@@ -158,11 +158,15 @@ func overlap(a, b []lifetime.Segment) bool {
 
 // planProc computes the minimum-spill-cost whole-lifetime assignment
 // for p under the given block-frequency function. p is mutated
-// (Renumber, loop depths); callers pass owned clones.
-func planProc(p *ir.Proc, mach *target.Machine, freq func(*ir.Block) int64, lim Limits) *Plan {
+// (Renumber, loop depths); callers pass owned clones. lv, when not nil,
+// is p's liveness (see alloc.OwnedAllocator); otherwise it is computed
+// here.
+func planProc(p *ir.Proc, lv *dataflow.Liveness, mach *target.Machine, freq func(*ir.Block) int64, lim Limits) *Plan {
 	p.Renumber()
 	cfg.ComputeLoopDepths(p)
-	lv := dataflow.Compute(p)
+	if lv == nil {
+		lv = dataflow.Compute(p)
+	}
 	lt := lifetime.Compute(p, lv)
 	rb := lifetime.ComputeRegBusy(p, mach)
 	w := spillWeights(p, freq)

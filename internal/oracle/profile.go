@@ -3,6 +3,7 @@ package oracle
 import (
 	"repro/internal/alloc"
 	"repro/internal/ir"
+	"repro/internal/opt"
 	"repro/internal/target"
 	"repro/internal/vm"
 )
@@ -65,9 +66,10 @@ func (pf *Profile) FreqFunc(proc string) func(*ir.Block) int64 {
 // cost is then only an upper bound (the best incumbent found).
 func OptimalCost(prog *ir.Program, mach *target.Machine, pf *Profile, lim Limits) (cost int64, proven bool) {
 	proven = true
+	var dce opt.Scratch
 	for _, p := range prog.Procs {
-		in := alloc.Prepare(p, nil, nil)
-		plan := planProc(in, mach, pf.FreqFunc(p.Name), lim)
+		in, lv := alloc.Prepare(p, &dce, nil, nil)
+		plan := planProc(in, lv, mach, pf.FreqFunc(p.Name), lim)
 		cost += plan.Cost
 		if !plan.Proven {
 			proven = false

@@ -1,9 +1,37 @@
 package progs
 
 import (
+	"fmt"
+
 	"repro/internal/ir"
 	"repro/internal/target"
 )
+
+// GoldenCorpus returns, with their names, the programs the allocation
+// digests and the allocator invariant tests run on a machine: the eleven
+// suite programs at scale 1, four seeds of every generator profile, the
+// three Table 3 modules and Displacement, in that order.
+func GoldenCorpus(m *target.Machine) (names []string, ps []*ir.Program) {
+	for _, b := range Suite() {
+		names = append(names, b.Name)
+		ps = append(ps, b.Build(m, 1))
+	}
+	for _, prof := range Profiles() {
+		for seed := int64(1); seed <= 4; seed++ {
+			cfg, err := ProfileGen(prof, seed)
+			if err != nil {
+				panic(err)
+			}
+			names = append(names, fmt.Sprintf("%s/%d", prof, seed))
+			ps = append(ps, Random(m, cfg))
+		}
+	}
+	for _, mod := range Table3Modules(m) {
+		names = append(names, mod.Name)
+		ps = append(ps, mod.Prog)
+	}
+	return append(names, "displacement"), append(ps, Displacement(m))
+}
 
 // Displacement is a hand-built program for the displacement branch of
 // §2.5 move coalescing, which no suite or generated program reaches:

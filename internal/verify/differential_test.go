@@ -36,7 +36,8 @@ func allocate(t testing.TB, name string, prog *ir.Program, mach *target.Machine,
 	}
 	var out []allocated
 	for _, p := range prog.Procs {
-		res, err := a.Allocate(alloc.Prepare(p, nil, nil))
+		in, _ := alloc.Prepare(p, nil, nil, nil)
+		res, err := a.Allocate(in)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, p.Name, err)
 		}

@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"repro/internal/alloc"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/target"
 	"repro/internal/verify"
@@ -88,8 +89,12 @@ type (
 	// Allocator is the common allocator interface.
 	Allocator = alloc.Allocator
 	// OwnedAllocator is the optional in-place fast path an Allocator
-	// can implement to skip the engine's defensive clone.
+	// can implement to skip the engine's defensive clone and take over
+	// the liveness dead-code elimination computed.
 	OwnedAllocator = alloc.OwnedAllocator
+	// Liveness is a procedure's global liveness, as the engine hands it
+	// to an OwnedAllocator.
+	Liveness = dataflow.Liveness
 	// PhaseProfiler is the optional interface through which the engine
 	// enables per-phase allocation sampling (WithPhaseProfile).
 	PhaseProfiler = alloc.PhaseProfiler
