@@ -87,10 +87,11 @@ func DefaultOptions() Options {
 }
 
 // Allocator is the binpacking register allocator. It keeps per-instance
-// scratch buffers — for liveness, lifetime construction, and the scan
-// itself — that are reused across Allocate calls, so one Allocator must
-// not run concurrent allocations; use one instance per goroutine (the
-// engine's worker pool does exactly that). In steady state, repeated
+// scratch buffers — for liveness (when the caller hands none over),
+// lifetime construction, and the scan itself — that are reused across
+// Allocate calls, so one Allocator must not run concurrent allocations;
+// use one instance per goroutine (the engine's worker pool does exactly
+// that). In steady state, repeated
 // allocation through one instance performs near-zero heap allocation
 // beyond the rewritten procedure itself.
 type Allocator struct {
