@@ -306,20 +306,21 @@ func TestDenseMatchesSparseOnRandomCorpus(t *testing.T) {
 // direction of a backward problem, took 80.2 on twldrv.f.
 func TestSolverVisitsPerBlock(t *testing.T) {
 	mach := target.Alpha()
-	progsByName := map[string]*ir.Program{}
-	var names []string
+	type named struct {
+		name string
+		prog *ir.Program
+	}
+	var corpus []named
 	for _, mod := range progs.Table3Modules(mach) {
-		names = append(names, mod.Name)
-		progsByName[mod.Name] = mod.Prog
+		corpus = append(corpus, named{mod.Name, mod.Prog})
 	}
 	for _, b := range progs.Suite() {
-		names = append(names, b.Name)
-		progsByName[b.Name] = b.Build(mach, 1)
+		corpus = append(corpus, named{b.Name, b.Build(mach, 1)})
 	}
 	var sc Scratch
-	for _, name := range names {
-		blocks, calls := 0, 0
-		for _, p := range progsByName[name].Procs {
+	for _, c := range corpus {
+		name, blocks, calls := c.name, 0, 0
+		for _, p := range c.prog.Procs {
 			p := p.Clone()
 			p.Renumber()
 			lv := sc.Compute(p)
