@@ -37,25 +37,9 @@ type CachedAllocation struct {
 	Report *Report
 }
 
-// ResultCache stores finished allocations by content address. The
-// engine consults it in AllocateCached when installed with WithCache;
-// implementations must be safe for concurrent use. NewShardedCache is
-// the built-in implementation; library users may inject their own
-// (e.g. a distributed cache) as long as entries are treated as
-// immutable.
-type ResultCache interface {
-	// Get returns the entry stored under key, if any.
-	Get(key CacheKey) (*CachedAllocation, bool)
-	// Put stores an entry under key, evicting older entries if needed.
-	Put(key CacheKey, e *CachedAllocation)
-	// Stats reports the cache's cumulative counters.
-	Stats() CacheStats
-}
-
 // CacheStats are a ResultCache's cumulative counters.
 type CacheStats struct {
-	// Entries is the current entry count; Capacity the maximum (0 if
-	// unbounded).
+	// Entries is the current entry count; Capacity the maximum.
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
 	// Hits and Misses count Get outcomes; Evictions counts entries
@@ -78,7 +62,7 @@ func (s CacheStats) HitRate() float64 {
 // same cache may back several engines (even for different machines or
 // algorithms): the cache key covers the machine and configuration, so
 // entries never collide across engines.
-func WithCache(c ResultCache) Option {
+func WithCache(c *ResultCache) Option {
 	return func(e *Engine) error {
 		e.cache = c
 		return nil
@@ -86,7 +70,7 @@ func WithCache(c ResultCache) Option {
 }
 
 // Cache returns the engine's result cache, or nil if none is installed.
-func (e *Engine) Cache() ResultCache { return e.cache }
+func (e *Engine) Cache() *ResultCache { return e.cache }
 
 // configFingerprint renders every engine knob that affects the
 // allocated output. Parallelism and phase profiling are excluded:
@@ -113,27 +97,18 @@ func (e *Engine) CacheKey(prog *Program) CacheKey {
 	return CacheKey(fmt.Sprintf("sha256:%x", h.Sum(nil)))
 }
 
-// AllocateCached is AllocateProgram behind the engine's result cache:
-// on a hit the cached allocation is returned — decoded afresh, so the
-// caller owns the result outright and cannot corrupt the shared entry —
-// with Report.Cached set and zero pipeline work performed; on a miss
-// the program is allocated as usual and the result is stored before
-// being returned. An entry whose frame does not decode is a miss, and
-// the fresh result replaces it. Without an installed cache it is
-// exactly AllocateProgram. Safe for concurrent use; concurrent misses
-// on the same key allocate redundantly but harmlessly (results are
-// deterministic).
-func (e *Engine) AllocateCached(ctx context.Context, prog *Program) (*Program, *Report, error) {
-	out, rep, _, err := e.AllocateCachedKey(ctx, prog)
-	return out, rep, err
-}
-
-// AllocateCachedKey is AllocateCached, additionally returning the
-// computed content address so callers that need the key (the serving
-// layer puts it in every response) do not hash the program a second
-// time. Without an installed cache the key is still computed and
-// returned.
-func (e *Engine) AllocateCachedKey(ctx context.Context, prog *Program) (*Program, *Report, CacheKey, error) {
+// AllocateCached is AllocateProgram behind the engine's result cache,
+// also returning the program's content address (the serving layer puts
+// it in every response). On a hit the cached allocation is returned —
+// decoded afresh, so the caller owns the result outright and cannot
+// corrupt the shared entry — with Report.Cached set and zero pipeline
+// work performed; on a miss the program is allocated as usual and the
+// result is stored before being returned. An entry whose frame does not
+// decode is a miss, and the fresh result replaces it. Without an
+// installed cache it is AllocateProgram plus the key. Safe for
+// concurrent use; concurrent misses on the same key allocate
+// redundantly but harmlessly (results are deterministic).
+func (e *Engine) AllocateCached(ctx context.Context, prog *Program) (*Program, *Report, CacheKey, error) {
 	key := e.CacheKey(prog)
 	if e.cache == nil {
 		out, rep, err := e.AllocateProgram(ctx, prog)
@@ -167,10 +142,12 @@ func (r *Report) copy() *Report {
 	return &c
 }
 
-// shardedCache is the built-in ResultCache: entries are spread over
-// independently locked shards (hash of the key), each an LRU list, so
-// concurrent engine workers rarely contend on the same lock.
-type shardedCache struct {
+// ResultCache stores finished allocations by content address; the
+// engine consults it in AllocateCached when installed with WithCache.
+// Entries are spread over independently locked shards (hash of the
+// key), each an LRU list, so concurrent engine workers rarely contend
+// on the same lock. Safe for concurrent use.
+type ResultCache struct {
 	shards  []cacheShard
 	hits    atomic.Uint64
 	misses  atomic.Uint64
@@ -194,21 +171,27 @@ type lruEntry struct {
 // for a non-positive one.
 const DefaultCacheEntries = 4096
 
-// NewShardedCache returns a concurrency-safe ResultCache holding at
-// most capacity entries (DefaultCacheEntries when capacity <= 0),
-// spread over nShards independently locked LRU shards (16 when
-// nShards <= 0). Eviction is least-recently-used per shard.
-func NewShardedCache(capacity, nShards int) ResultCache {
+// cacheShards is the lock-shard count of every NewShardedCache.
+const cacheShards = 16
+
+// NewShardedCache returns a ResultCache holding at most capacity
+// entries (DefaultCacheEntries when capacity <= 0), spread over 16
+// independently locked LRU shards. Eviction is least-recently-used per
+// shard.
+func NewShardedCache(capacity int) *ResultCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheEntries
 	}
-	if nShards <= 0 {
-		nShards = 16
-	}
+	return newShardedCache(capacity, cacheShards)
+}
+
+// newShardedCache spreads capacity (> 0) over nShards shards, at most
+// one per entry.
+func newShardedCache(capacity, nShards int) *ResultCache {
 	if nShards > capacity {
 		nShards = capacity
 	}
-	c := &shardedCache{shards: make([]cacheShard, nShards)}
+	c := &ResultCache{shards: make([]cacheShard, nShards)}
 	for i := range c.shards {
 		// Spread capacity exactly: the first capacity%nShards shards
 		// hold one extra entry, and the shard caps sum to capacity.
@@ -223,13 +206,14 @@ func NewShardedCache(capacity, nShards int) ResultCache {
 }
 
 // shard maps a key onto its shard by FNV-1a hash.
-func (c *shardedCache) shard(key CacheKey) *cacheShard {
+func (c *ResultCache) shard(key CacheKey) *cacheShard {
 	h := fnv.New32a()
 	h.Write([]byte(key))
 	return &c.shards[int(h.Sum32())%len(c.shards)]
 }
 
-func (c *shardedCache) Get(key CacheKey) (*CachedAllocation, bool) {
+// Get returns the entry stored under key, if any.
+func (c *ResultCache) Get(key CacheKey) (*CachedAllocation, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	el, ok := s.entries[key]
@@ -247,7 +231,9 @@ func (c *shardedCache) Get(key CacheKey) (*CachedAllocation, bool) {
 	return val, true
 }
 
-func (c *shardedCache) Put(key CacheKey, e *CachedAllocation) {
+// Put stores an entry under key, evicting older entries if needed.
+// Entries are shared by every reader and must never be mutated.
+func (c *ResultCache) Put(key CacheKey, e *CachedAllocation) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {
@@ -270,7 +256,8 @@ func (c *shardedCache) Put(key CacheKey, e *CachedAllocation) {
 	}
 }
 
-func (c *shardedCache) Stats() CacheStats {
+// Stats reports the cache's cumulative counters.
+func (c *ResultCache) Stats() CacheStats {
 	st := CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),

@@ -110,14 +110,14 @@ func TestAllocateCachedHitSkipsPipeline(t *testing.T) {
 		}
 	})
 	m := Tiny(6, 4)
-	eng, err := New(m, WithAlgorithm("cache-counting"), WithCache(NewShardedCache(64, 4)))
+	eng, err := New(m, WithAlgorithm("cache-counting"), WithCache(NewShardedCache(64)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	countingCalls.Store(0)
 	prog := cacheProg(m, 11)
 
-	out1, rep1, err := eng.AllocateCached(context.Background(), prog)
+	out1, rep1, _, err := eng.AllocateCached(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAllocateCachedHitSkipsPipeline(t *testing.T) {
 		t.Fatal("miss path allocated no procedures")
 	}
 
-	out2, rep2, err := eng.AllocateCached(context.Background(), prog)
+	out2, rep2, _, err := eng.AllocateCached(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,17 +159,17 @@ func TestAllocateCachedHitSkipsPipeline(t *testing.T) {
 
 func TestAllocateCachedMutationIsolation(t *testing.T) {
 	m := Tiny(6, 4)
-	eng, err := New(m, WithCache(NewShardedCache(64, 4)))
+	eng, err := New(m, WithCache(NewShardedCache(64)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := cacheProg(m, 13)
 
 	// Populate, then grab a hit and vandalize everything reachable.
-	if _, _, err := eng.AllocateCached(context.Background(), prog); err != nil {
+	if _, _, _, err := eng.AllocateCached(context.Background(), prog); err != nil {
 		t.Fatal(err)
 	}
-	hit, rep, err := eng.AllocateCached(context.Background(), prog)
+	hit, rep, _, err := eng.AllocateCached(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestAllocateCachedMutationIsolation(t *testing.T) {
 
 	// The cache entry must be unaffected: a fresh hit reproduces the
 	// original allocation and report.
-	again, rep2, err := eng.AllocateCached(context.Background(), prog)
+	again, rep2, _, err := eng.AllocateCached(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestAllocateCachedMutationIsolation(t *testing.T) {
 }
 
 func TestShardedCacheEviction(t *testing.T) {
-	c := NewShardedCache(2, 1) // 2 entries, one shard: strict LRU
+	c := newShardedCache(2, 1) // 2 entries, one shard: strict LRU
 	mk := func(i int) (CacheKey, *CachedAllocation) {
 		return CacheKey(fmt.Sprintf("k%d", i)), &CachedAllocation{}
 	}
@@ -238,7 +238,7 @@ func TestShardedCacheEviction(t *testing.T) {
 
 func TestAllocateCachedConcurrent(t *testing.T) {
 	m := Tiny(6, 4)
-	eng, err := New(m, WithCache(NewShardedCache(32, 8)))
+	eng, err := New(m, WithCache(NewShardedCache(32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestAllocateCachedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				seed := (w + i) % progsN
-				out, _, err := eng.AllocateCached(context.Background(), cacheProg(m, int64(seed)))
+				out, _, _, err := eng.AllocateCached(context.Background(), cacheProg(m, int64(seed)))
 				if err != nil {
 					t.Error(err)
 					return

@@ -40,13 +40,12 @@ func shortKey(key string) string {
 
 func main() {
 	var (
-		addr     = flag.String("addr", "http://localhost:7421", "daemon base URL")
-		machine  = flag.String("machine", "alpha", "machine spec (preset or tiny:<ints>,<floats>)")
-		algo     = flag.String("algo", "binpack", "allocator registry name")
-		priority = flag.String("priority", "", "scheduling class: interactive (default) or batch")
-		jsonOut  = flag.Bool("json", false, "print the full JSON response")
-		metrics  = flag.Bool("metrics", false, "fetch /metrics instead of allocating")
-		timeout  = flag.Duration("timeout", 60*time.Second, "request timeout")
+		addr    = flag.String("addr", "http://localhost:7421", "daemon base URL")
+		machine = flag.String("machine", "alpha", "machine spec (preset or tiny:<ints>,<floats>)")
+		algo    = flag.String("algo", "binpack", "allocator registry name")
+		jsonOut = flag.Bool("json", false, "print the full JSON response")
+		metrics = flag.Bool("metrics", false, "fetch /metrics instead of allocating")
+		timeout = flag.Duration("timeout", 60*time.Second, "request timeout")
 	)
 	flag.Parse()
 
@@ -71,7 +70,7 @@ func main() {
 		return
 	}
 
-	req := serve.AllocateRequest{Machine: *machine, Algorithm: *algo, Priority: *priority}
+	req := serve.AllocateRequest{Machine: *machine, Algorithm: *algo}
 	if flag.NArg() == 0 {
 		text, err := io.ReadAll(os.Stdin)
 		if err != nil {

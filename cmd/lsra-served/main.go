@@ -1,9 +1,8 @@
 // Command lsra-served runs the allocation service: one long-lived
 // HTTP daemon over the regalloc Engine with a sharded in-memory
-// content-addressed result cache, bounded admission control with
-// priority classes (429 + Retry-After under overload), text and binary
-// request bodies, a /metrics endpoint, and graceful drain on
-// SIGTERM/SIGINT. The cache is not persisted: a restart starts cold.
+// content-addressed result cache, bounded admission control (429 +
+// Retry-After under overload), text and binary request bodies, a
+// /metrics endpoint, and graceful drain on SIGTERM/SIGINT. The cache is not persisted: a restart starts cold.
 //
 //	lsra-served -addr :7421 -cache 4096 -workers 8 -queue 32
 //
@@ -33,25 +32,19 @@ func main() {
 		addr         = flag.String("addr", ":7421", "listen address")
 		algos        = flag.String("algos", "", "comma-separated allocators to serve (empty = all registered)")
 		cacheEntries = flag.Int("cache", 0, "result cache capacity in entries (0 = default, -1 = disable)")
-		cacheShards  = flag.Int("cache-shards", 0, "result cache lock shards (0 = default)")
 		workers      = flag.Int("workers", 0, "concurrent allocation requests (0 = all CPUs)")
 		queue        = flag.Int("queue", 0, "admission queue depth beyond the workers (0 = 4x workers)")
-		jobs         = flag.Int("jobs", 1, "per-request engine parallelism (procedures per program)")
 		maxEngines   = flag.Int("max-engines", 0, "bound on distinct machine×algorithm engines kept warm (0 = default)")
 		verify       = flag.Bool("verify", true, "run the symbolic verifier on every allocation")
-		phases       = flag.Bool("phases", false, "sample per-phase heap allocations (engine WithPhaseProfile)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight requests on shutdown")
 	)
 	flag.Parse()
 
 	cfg := serve.Config{
 		CacheEntries: *cacheEntries,
-		CacheShards:  *cacheShards,
 		Workers:      *workers,
 		QueueDepth:   *queue,
-		Parallelism:  *jobs,
 		Verify:       *verify,
-		PhaseProfile: *phases,
 		MaxEngines:   *maxEngines,
 	}
 	if *algos != "" {

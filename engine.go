@@ -22,7 +22,7 @@ type Engine struct {
 	algorithm   string
 	pipe        alloc.Pipeline // the §3 pass ordering, configured by the options
 	parallelism int
-	cache       ResultCache
+	cache       *ResultCache
 
 	pool sync.Pool // of *worker, one per concurrent worker
 }
@@ -100,18 +100,6 @@ type ProcReport struct {
 	Proc    string        `json:"proc"`
 	Stats   Stats         `json:"stats"`
 	Elapsed time.Duration `json:"elapsed_ns"`
-}
-
-// PhaseStat is one pipeline phase's aggregate cost across a batch:
-// summed wall time, its share of the total phase time, and — when the
-// engine was built WithPhaseProfile — heap allocations attributed to
-// the phase.
-type PhaseStat struct {
-	Phase  string  `json:"phase"`
-	Ns     int64   `json:"ns"`
-	Share  float64 `json:"share"`
-	Allocs uint64  `json:"allocs,omitempty"`
-	Bytes  uint64  `json:"bytes,omitempty"`
 }
 
 // Report aggregates one AllocateProgram run: per-procedure statistics in
@@ -289,30 +277,10 @@ func (e *Engine) AllocateProgram(ctx context.Context, prog *Program) (*Program, 
 		rep.Procs = append(rep.Procs, ProcReport{Proc: procs[i].Name, Stats: res.Stats, Elapsed: elapsed[i]})
 		rep.Totals.Add(res.Stats)
 	}
-	rep.PhaseStats = phaseStats(rep.Totals.Phases)
+	rep.PhaseStats = rep.Totals.Phases.Stats()
 	heapAllocs1, heapBytes1 := alloc.HeapCounters()
 	rep.HeapAllocs = heapAllocs1 - heapAllocs0
 	rep.HeapBytes = heapBytes1 - heapBytes0
 	rep.WallTime = time.Since(start)
 	return out, rep, nil
-}
-
-// phaseStats renders aggregated phase samples as the Report's PhaseStats
-// section, in phase declaration order.
-func phaseStats(pt alloc.PhaseTimes) []PhaseStat {
-	total := pt.TotalNs()
-	stats := make([]PhaseStat, 0, alloc.NumPhases)
-	for i := range pt {
-		s := PhaseStat{
-			Phase:  alloc.Phase(i).String(),
-			Ns:     pt[i].Ns,
-			Allocs: pt[i].Allocs,
-			Bytes:  pt[i].Bytes,
-		}
-		if total > 0 {
-			s.Share = float64(pt[i].Ns) / float64(total)
-		}
-		stats = append(stats, s)
-	}
-	return stats
 }

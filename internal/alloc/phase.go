@@ -87,6 +87,38 @@ func (pt *PhaseTimes) TotalNs() int64 {
 	return n
 }
 
+// PhaseStat is one pipeline phase's aggregate cost across a batch:
+// summed wall time, its share of the total phase time, and — when the
+// engine was built WithPhaseProfile — heap allocations attributed to
+// the phase.
+type PhaseStat struct {
+	Phase  string  `json:"phase"`
+	Ns     int64   `json:"ns"`
+	Share  float64 `json:"share"`
+	Allocs uint64  `json:"allocs,omitempty"`
+	Bytes  uint64  `json:"bytes,omitempty"`
+}
+
+// Stats renders aggregated phase samples as PhaseStats, in phase
+// declaration order.
+func (pt *PhaseTimes) Stats() []PhaseStat {
+	total := pt.TotalNs()
+	stats := make([]PhaseStat, 0, NumPhases)
+	for i := range pt {
+		s := PhaseStat{
+			Phase:  Phase(i).String(),
+			Ns:     pt[i].Ns,
+			Allocs: pt[i].Allocs,
+			Bytes:  pt[i].Bytes,
+		}
+		if total > 0 {
+			s.Share = float64(pt[i].Ns) / float64(total)
+		}
+		stats = append(stats, s)
+	}
+	return stats
+}
+
 // Timer attributes wall time (and optionally heap allocation) to phases:
 // construct it when a pipeline starts and call Mark at each phase
 // boundary; the interval since the previous mark is charged to the named

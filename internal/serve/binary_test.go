@@ -169,7 +169,7 @@ func TestAllocateBinaryBatch(t *testing.T) {
 		want = append(want, text)
 	}
 	var out AllocateResponse
-	postBinary(t, ts.URL, "machine="+machine+"&priority=batch", frames, http.StatusOK, &out)
+	postBinary(t, ts.URL, "machine="+machine, frames, http.StatusOK, &out)
 	if len(out.Results) != len(want) {
 		t.Fatalf("%d results, want %d", len(out.Results), len(want))
 	}
@@ -207,8 +207,6 @@ func TestAllocateBinaryRejects(t *testing.T) {
 	postBinary(t, ts.URL, "machine=tiny:6,4", append(bytes.Clone(valid), 'x'), http.StatusBadRequest, nil)
 	// Missing machine.
 	postBinary(t, ts.URL, "", valid, http.StatusBadRequest, nil)
-	// Bad priority.
-	postBinary(t, ts.URL, "machine=tiny:6,4&priority=bogus", valid, http.StatusBadRequest, nil)
 }
 
 // TestBinaryKeyCoversSlotCount sends a program as text, then as a
@@ -241,7 +239,7 @@ func TestBinaryKeyCoversSlotCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, key, err := eng.AllocateCachedKey(context.Background(), prog)
+	out, _, key, err := eng.AllocateCached(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ var fuzzAlgorithms = []string{"binpack", "twopass", "linearscan", "coloring"}
 // the server must not panic and must answer a body that fails to parse
 // or validate with a 4xx, never a 500. A body that does parse and
 // validate must get 200, and every result must carry the key and the
-// printed program that a direct Engine.AllocateCachedKey gives.
+// printed program that a direct Engine.AllocateCached gives.
 func FuzzAllocateHTTP(f *testing.F) {
 	s, err := New(Config{Algorithms: fuzzAlgorithms, Workers: 2, Verify: true})
 	if err != nil {
@@ -75,7 +75,7 @@ func FuzzAllocateHTTP(f *testing.F) {
 			}
 			eng := directEngine(t, direct, c.want.mach, c.want.algorithm)
 			for i, prog := range c.want.progs {
-				out, _, key, err := eng.AllocateCachedKey(context.Background(), prog)
+				out, _, key, err := eng.AllocateCached(context.Background(), prog)
 				if err != nil {
 					t.Fatalf("%s: program %d: direct allocation failed on a served program: %v", c.name, i, err)
 				}
@@ -121,8 +121,9 @@ type fuzzExpect struct {
 }
 
 // expectJSON is the oracle for a JSON body: the request must decode,
-// name exactly one of program and programs, a known priority, a
-// machine, a served algorithm, and programs that parse and validate.
+// name exactly one of program and programs, a machine, a served
+// algorithm, and programs that parse and validate. Unknown fields are
+// ignored.
 func expectJSON(body []byte) fuzzExpect {
 	var req AllocateRequest
 	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
@@ -136,9 +137,6 @@ func expectJSON(body []byte) fuzzExpect {
 		texts = []string{req.Program}
 	}
 	if len(texts) == 0 {
-		return fuzzExpect{}
-	}
-	if _, err := ParsePriority(req.Priority); err != nil {
 		return fuzzExpect{}
 	}
 	want, mach := expectEngine(req.Machine, req.Algorithm)

@@ -20,11 +20,9 @@
 // table and one in-memory cache, so a program sent either way has the
 // same key and the same answer.
 //
-// Requests carry a priority class ("interactive", the default, or
-// "batch"): when every worker is busy, waiting interactive requests are
-// always scheduled before waiting batch requests, so latency-sensitive
-// traffic preempts bulk traffic in the admission queue. The cache lives
-// only in memory: a restarted daemon starts cold.
+// Admitted requests wait for a worker in arrival order, and a client
+// that gives up while queued frees its place. The cache lives only in
+// memory: a restarted daemon starts cold.
 //
 // The server is an http.Handler, so it embeds in tests (httptest) and
 // custom daemons alike; ListenAndServe and Shutdown add the production
@@ -63,23 +61,14 @@ type Config struct {
 	// CacheEntries bounds the content-addressed result cache: 0 selects
 	// regalloc.DefaultCacheEntries, negative disables caching.
 	CacheEntries int
-	// CacheShards is the cache's lock-shard count (0 = default).
-	CacheShards int
 	// Workers bounds concurrently executing allocation requests
 	// (0 = GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds requests waiting behind the workers; a full
 	// queue rejects with 429 + Retry-After (0 = 4 × Workers).
 	QueueDepth int
-	// Parallelism is each engine's per-program procedure fan-out. The
-	// default 1 keeps requests the unit of parallelism, which maximizes
-	// throughput under concurrent load.
-	Parallelism int
 	// Verify runs the symbolic allocation verifier on every result.
 	Verify bool
-	// PhaseProfile samples per-phase heap allocations (see
-	// regalloc.WithPhaseProfile).
-	PhaseProfile bool
 	// MaxRequestBytes bounds a request body (0 = 8 MiB).
 	MaxRequestBytes int64
 	// MaxEngines bounds the lazily built engine table (one engine per
@@ -87,40 +76,6 @@ type Config struct {
 	// Spec). Least-recently-used engines are dropped beyond the bound —
 	// only their warm scratch arenas are lost (0 = 64).
 	MaxEngines int
-}
-
-// Priority is a request's scheduling class.
-type Priority uint8
-
-const (
-	// PriorityInteractive is the default class: latency-sensitive
-	// traffic, always scheduled before waiting batch work.
-	PriorityInteractive Priority = iota
-	// PriorityBatch marks bulk traffic that yields to interactive
-	// requests whenever workers are contended.
-	PriorityBatch
-
-	numPriorities
-)
-
-// String returns the wire spelling of the class.
-func (p Priority) String() string {
-	if p == PriorityBatch {
-		return "batch"
-	}
-	return "interactive"
-}
-
-// ParsePriority reads a request's priority field; empty selects
-// interactive.
-func ParsePriority(s string) (Priority, error) {
-	switch s {
-	case "", "interactive":
-		return PriorityInteractive, nil
-	case "batch":
-		return PriorityBatch, nil
-	}
-	return 0, fmt.Errorf("unknown priority %q (want interactive or batch)", s)
 }
 
 // AllocateRequest is the POST /allocate body. Exactly one of Program or
@@ -135,9 +90,6 @@ type AllocateRequest struct {
 	Program string `json:"program,omitempty"`
 	// Programs is a batch of programs allocated in order.
 	Programs []string `json:"programs,omitempty"`
-	// Priority is the scheduling class: "interactive" (default) or
-	// "batch". Interactive requests preempt batch in the worker queue.
-	Priority string `json:"priority,omitempty"`
 }
 
 // AllocatedProgram is one program's slice of an AllocateResponse.
@@ -215,14 +167,10 @@ const statusClientClosedRequest = 499
 
 // QueueMetrics describes the admission state at sampling time.
 type QueueMetrics struct {
-	// Depth is the number of admitted requests waiting for a worker;
-	// Executing the number currently allocating.
+	// Depth is the number of admitted requests not executing (waiting
+	// for a worker); Executing the number currently allocating.
 	Depth     int `json:"depth"`
 	Executing int `json:"executing"`
-	// Interactive and Batch split Depth by priority class; interactive
-	// waiters are always scheduled first.
-	Interactive int `json:"interactive"`
-	Batch       int `json:"batch"`
 	// Capacity is Depth's bound, Workers Executing's.
 	Capacity int `json:"capacity"`
 	Workers  int `json:"workers"`
@@ -259,7 +207,7 @@ type engineEntry struct {
 // as an http.Handler and drains gracefully through Shutdown.
 type Server struct {
 	cfg   Config
-	cache regalloc.ResultCache // nil when caching is disabled
+	cache *regalloc.ResultCache // nil when caching is disabled
 	mux   *http.ServeMux
 	start time.Time
 
@@ -267,8 +215,8 @@ type Server struct {
 	engines   map[engineKey]*list.Element
 	engineLRU *list.List // front = most recently used
 
-	slots chan struct{} // admission: executing + queued
-	sched *prioSched    // executing, priority-ordered handoff
+	slots   chan struct{} // admission: executing + queued
+	workers chan struct{} // executing
 
 	// drainMu orders admission against Shutdown: draining flips and
 	// wg.Add both happen under it, so wg.Wait (called after the flip)
@@ -300,9 +248,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.Workers
 	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 1
-	}
 	if cfg.MaxRequestBytes <= 0 {
 		cfg.MaxRequestBytes = 8 << 20
 	}
@@ -326,11 +271,11 @@ func New(cfg Config) (*Server, error) {
 		engines:   make(map[engineKey]*list.Element),
 		engineLRU: list.New(),
 		slots:     make(chan struct{}, cfg.Workers+cfg.QueueDepth),
-		sched:     newPrioSched(cfg.Workers),
+		workers:   make(chan struct{}, cfg.Workers),
 		start:     time.Now(),
 	}
 	if cfg.CacheEntries >= 0 {
-		s.cache = regalloc.NewShardedCache(cfg.CacheEntries, cfg.CacheShards)
+		s.cache = regalloc.NewShardedCache(cfg.CacheEntries)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/allocate", s.handleAllocate)
@@ -340,81 +285,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// prioSched hands the worker slots out in strict priority order: a
-// freed slot goes to the longest-waiting interactive request if any is
-// queued, else to the longest-waiting batch request. Slots are handed
-// over directly (the releaser wakes exactly one waiter without
-// decrementing the running count), so priority is enforced at every
-// handoff, not just on arrival.
-type prioSched struct {
-	mu      sync.Mutex
-	workers int
-	running int
-	waiters [numPriorities]list.List // of chan struct{}, FIFO per class
-}
-
-func newPrioSched(workers int) *prioSched {
-	return &prioSched{workers: workers}
-}
-
-// acquire blocks until a worker slot is granted or ctx is done.
-func (p *prioSched) acquire(ctx context.Context, pr Priority) error {
-	p.mu.Lock()
-	if p.running < p.workers {
-		p.running++
-		p.mu.Unlock()
-		return nil
-	}
-	ch := make(chan struct{})
-	el := p.waiters[pr].PushBack(ch)
-	p.mu.Unlock()
-	select {
-	case <-ch:
-		return nil
-	case <-ctx.Done():
-		p.mu.Lock()
-		select {
-		case <-ch:
-			// Granted between ctx.Done and taking the lock: we own a
-			// slot nobody will use — pass it on.
-			p.mu.Unlock()
-			p.release()
-		default:
-			p.waiters[pr].Remove(el)
-			p.mu.Unlock()
-		}
-		return ctx.Err()
-	}
-}
-
-// release frees a worker slot, handing it to the highest-priority
-// waiter if any.
-func (p *prioSched) release() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for c := Priority(0); c < numPriorities; c++ {
-		if el := p.waiters[c].Front(); el != nil {
-			p.waiters[c].Remove(el)
-			close(el.Value.(chan struct{})) // slot handed over; running unchanged
-			return
-		}
-	}
-	p.running--
-}
-
-// snapshot samples the scheduler for /metrics.
-func (p *prioSched) snapshot() (running int, waiting [numPriorities]int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	running = p.running
-	for c := range p.waiters {
-		waiting[c] = p.waiters[c].Len()
-	}
-	return
-}
-
 // Cache returns the server's result cache (nil when disabled).
-func (s *Server) Cache() regalloc.ResultCache { return s.cache }
+func (s *Server) Cache() *regalloc.ResultCache { return s.cache }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -502,9 +374,8 @@ func (s *Server) engine(machine, algorithm string) (*regalloc.Engine, *regalloc.
 	}
 	opts := []regalloc.Option{
 		regalloc.WithAlgorithm(algorithm),
-		regalloc.WithParallelism(s.cfg.Parallelism),
+		regalloc.WithParallelism(engineParallelism),
 		regalloc.WithVerify(s.cfg.Verify),
-		regalloc.WithPhaseProfile(s.cfg.PhaseProfile),
 	}
 	if s.cache != nil {
 		opts = append(opts, regalloc.WithCache(s.cache))
@@ -524,6 +395,11 @@ func (s *Server) engine(machine, algorithm string) (*regalloc.Engine, *regalloc.
 	}
 	return e, mach, nil
 }
+
+// engineParallelism is each engine's per-program procedure fan-out: one
+// keeps requests the unit of parallelism, which maximizes throughput
+// under concurrent load.
+const engineParallelism = 1
 
 // admitResult is admit's outcome.
 type admitResult uint8
@@ -568,8 +444,8 @@ func (s *Server) isDraining() bool {
 
 // ContentTypeBinaryIR selects the binary request form on POST
 // /allocate: the body is one or more concatenated internal/irbin
-// frames (self-delimiting, so no envelope is needed), with machine,
-// algorithm and priority carried as query parameters. The text parser
+// frames (self-delimiting, so no envelope is needed), with machine and
+// algorithm carried as query parameters. The text parser
 // is skipped entirely — this is the wire form the corpus ladder and
 // high-throughput clients use.
 const ContentTypeBinaryIR = "application/x-lsra-ir"
@@ -612,12 +488,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("no program in request"))
 		return
 	}
-	prio, err := ParsePriority(req.Priority)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	s.allocate(w, r, start, prio, req.Machine, req.Algorithm, func(i int, mach *regalloc.Machine) (*ir.Program, bool, error) {
+	s.allocate(w, r, start, req.Machine, req.Algorithm, func(i int, mach *regalloc.Machine) (*ir.Program, bool, error) {
 		if i == len(texts) {
 			return nil, false, nil
 		}
@@ -635,11 +506,6 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleAllocateBinary(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	q := r.URL.Query()
-	prio, err := ParsePriority(q.Get("priority"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
 	if err != nil {
 		s.failBody(w, err)
@@ -658,7 +524,7 @@ func (s *Server) handleAllocateBinary(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	rest := body
-	s.allocate(w, r, start, prio, q.Get("machine"), q.Get("algorithm"), func(int, *regalloc.Machine) (*ir.Program, bool, error) {
+	s.allocate(w, r, start, q.Get("machine"), q.Get("algorithm"), func(int, *regalloc.Machine) (*ir.Program, bool, error) {
 		if len(rest) == 0 {
 			return nil, false, nil
 		}
@@ -693,10 +559,10 @@ func (s *Server) failBody(w http.ResponseWriter, err error) {
 type nextProgram func(i int, mach *regalloc.Machine) (prog *ir.Program, ok bool, err error)
 
 // allocate is the part of POST /allocate both body forms share, run
-// once the body has been read: admission, the engine lookup, the
-// priority-ordered wait for a worker, and then, per program from next,
-// validation, the cached allocation and the printed result.
-func (s *Server) allocate(w http.ResponseWriter, r *http.Request, start time.Time, prio Priority, machine, algorithm string, next nextProgram) {
+// once the body has been read: admission, the engine lookup, the wait
+// for a worker, and then, per program from next, validation, the cached
+// allocation and the printed result.
+func (s *Server) allocate(w http.ResponseWriter, r *http.Request, start time.Time, machine, algorithm string, next nextProgram) {
 	switch s.admit() {
 	case admitDraining:
 		s.reqDraining.Add(1)
@@ -717,17 +583,18 @@ func (s *Server) allocate(w http.ResponseWriter, r *http.Request, start time.Tim
 		return
 	}
 
-	// Wait (queued) for an execution slot; the admission bound above
-	// caps how many requests can be waiting here, and the scheduler
-	// hands freed slots to interactive waiters before batch ones. A
-	// client that gives up while queued releases its slot instead of
-	// occupying a worker with work nobody will read.
-	if err := s.sched.acquire(r.Context(), prio); err != nil {
+	// Wait (queued) for a worker; the admission bound above caps how
+	// many requests can be waiting here. A client that gives up while
+	// queued releases its slot instead of occupying a worker with work
+	// nobody will read.
+	select {
+	case s.workers <- struct{}{}:
+	case <-r.Context().Done():
 		s.reqCancelled.Add(1)
 		writeJSON(w, statusClientClosedRequest, ErrorResponse{Error: "client went away while queued"})
 		return
 	}
-	defer s.sched.release()
+	defer func() { <-s.workers }()
 
 	resp := AllocateResponse{Machine: machine, Algorithm: eng.Algorithm()}
 	for i := 0; ; i++ {
@@ -742,7 +609,7 @@ func (s *Server) allocate(w http.ResponseWriter, r *http.Request, start time.Tim
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("program %d: %w", i, err))
 			return
 		}
-		out, rep, key, err := eng.AllocateCachedKey(r.Context(), prog)
+		out, rep, key, err := eng.AllocateCached(r.Context(), prog)
 		if err != nil {
 			// A cancelled client is not a server error: classify it
 			// apart so the error-rate metric stays meaningful.
@@ -812,14 +679,14 @@ func (s *Server) Metrics() Metrics {
 		Procs:          s.procs.Load(),
 		AllocWallNs:    s.allocWallNs.Load(),
 	}
-	running, waiting := s.sched.snapshot()
+	// The two lengths are read apart, so a request admitted or started
+	// in between can make them disagree by one; clamp the difference.
+	executing := len(s.workers)
 	m.Queue = QueueMetrics{
-		Depth:       waiting[PriorityInteractive] + waiting[PriorityBatch],
-		Executing:   running,
-		Interactive: waiting[PriorityInteractive],
-		Batch:       waiting[PriorityBatch],
-		Capacity:    s.cfg.QueueDepth,
-		Workers:     s.cfg.Workers,
+		Depth:     max(len(s.slots)-executing, 0),
+		Executing: executing,
+		Capacity:  s.cfg.QueueDepth,
+		Workers:   s.cfg.Workers,
 	}
 	if s.cache != nil {
 		st := s.cache.Stats()
@@ -828,19 +695,7 @@ func (s *Server) Metrics() Metrics {
 	s.phaseMu.Lock()
 	pt := s.phases
 	s.phaseMu.Unlock()
-	total := pt.TotalNs()
-	for i := range pt {
-		ps := regalloc.PhaseStat{
-			Phase:  alloc.Phase(i).String(),
-			Ns:     pt[i].Ns,
-			Allocs: pt[i].Allocs,
-			Bytes:  pt[i].Bytes,
-		}
-		if total > 0 {
-			ps.Share = float64(pt[i].Ns) / float64(total)
-		}
-		m.Phases = append(m.Phases, ps)
-	}
+	m.Phases = pt.Stats()
 	allocs, bytes := alloc.HeapCounters()
 	m.Heap = HeapMetrics{Allocs: allocs, Bytes: bytes}
 	return m
@@ -863,8 +718,6 @@ type configDoc struct {
 	QueueDepth   int      `json:"queue_depth"`
 	CacheEntries int      `json:"cache_entries"`
 	Verify       bool     `json:"verify"`
-	// Priorities lists the accepted scheduling classes.
-	Priorities []string `json:"priorities"`
 }
 
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
@@ -883,7 +736,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:   s.cfg.QueueDepth,
 		CacheEntries: cacheEntries,
 		Verify:       s.cfg.Verify,
-		Priorities:   []string{PriorityInteractive.String(), PriorityBatch.String()},
 	})
 }
 

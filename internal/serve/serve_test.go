@@ -359,7 +359,7 @@ func drainRound(t *testing.T, rng *rand.Rand, text string, frame []byte) {
 	if held := len(s.slots); held != 0 {
 		t.Errorf("%d admission slots still held after Shutdown", held)
 	}
-	if running, _ := s.sched.snapshot(); running != 0 {
+	if running := len(s.workers); running != 0 {
 		t.Errorf("%d requests still executing after Shutdown", running)
 	}
 	wg.Wait()

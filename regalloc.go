@@ -86,6 +86,8 @@ type (
 	// PhaseSample is one phase's accumulated wall time and (under
 	// WithPhaseProfile) heap-allocation counters.
 	PhaseSample = alloc.PhaseSample
+	// PhaseStat is one phase's row of Report.PhaseStats.
+	PhaseStat = alloc.PhaseStat
 	// Allocator is the common allocator interface.
 	Allocator = alloc.Allocator
 	// OwnedAllocator is the optional in-place fast path an Allocator
