@@ -26,6 +26,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/dataflow"
 	"repro/internal/experiments"
 	"repro/internal/ir"
 	"repro/internal/irbin"
@@ -139,6 +140,7 @@ func BenchmarkTable3(b *testing.B) {
 		} {
 			b.Run(fmt.Sprintf("%s/%s", mod.Name, scheme.name), func(b *testing.B) {
 				a := scheme.mk(mach)
+				var df dataflow.Scratch // pooled, as an engine worker's DCE scratch is
 				var edges, cands int
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -148,7 +150,9 @@ func BenchmarkTable3(b *testing.B) {
 						if p.Name == "main" {
 							continue
 						}
-						res, err := a.Allocate(p)
+						c := p.Clone()
+						c.Renumber()
+						res, err := a.Allocate(c, df.Compute(c), nil)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -368,8 +372,8 @@ func BenchmarkVerify(b *testing.B) {
 	a := experiments.Binpack(mach)
 	var procs []*ir.Proc
 	for _, p := range bench.Build(mach, bench.DefaultScale).Procs {
-		in, _ := alloc.Prepare(p, nil, nil, nil)
-		res, err := a.Allocate(in)
+		in, lv := alloc.Prepare(p, nil, nil, nil)
+		res, err := a.Allocate(in, lv, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

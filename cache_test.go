@@ -91,9 +91,9 @@ type countingAllocator struct {
 	calls *atomic.Int64
 }
 
-func (c countingAllocator) Allocate(p *Proc) (*Result, error) {
+func (c countingAllocator) Allocate(p *Proc, lv *Liveness, tm *Timer) (*Result, error) {
 	c.calls.Add(1)
-	return c.Allocator.Allocate(p)
+	return c.Allocator.Allocate(p, lv, tm)
 }
 
 var (

@@ -20,11 +20,18 @@ import (
 type Engine struct {
 	mach        *Machine
 	algorithm   string
+	factory     alloc.Factory
 	pipe        alloc.Pipeline // the §3 pass ordering, configured by the options
 	parallelism int
 	cache       *ResultCache
 
-	pool sync.Pool // of *worker, one per concurrent worker
+	// idle holds the workers not running a procedure. It grows to the
+	// peak concurrency and never shrinks: a worker's scratch arenas are
+	// sized by the largest procedure it has seen, and a pool the
+	// garbage collector may empty would regrow them after every other
+	// GC cycle.
+	mu   sync.Mutex
+	idle []*worker
 }
 
 // worker is the pooled state of one concurrent pipeline run: an
@@ -84,10 +91,10 @@ func WithParallelism(n int) Option {
 // Report carries with heap-allocation counters, sampled from
 // runtime/metrics at each phase boundary. Sampling is cheap but not
 // free, so it is off by default; timings alone are always collected.
-// The engine enables sampling on every pooled allocator implementing
-// PhaseProfiler (all four built-ins do); other allocators report their
-// phases with zero alloc counters. Heap counters are process-global, so
-// per-phase allocation figures are only exact under WithParallelism(1).
+// Every allocator marks its phases on the pipeline's Timer, so the
+// counters cover registered allocators as well as the built-ins. Heap
+// counters are process-global, so per-phase allocation figures are only
+// exact under WithParallelism(1).
 func WithPhaseProfile(on bool) Option {
 	return func(e *Engine) error {
 		e.pipe.ProfileAllocs = on
@@ -128,7 +135,9 @@ type Report struct {
 // New constructs an Engine for a machine. With no options it mirrors
 // the paper's experimental pipeline: second-chance binpacking with DCE,
 // peephole and verification on, fanning batches out over
-// runtime.GOMAXPROCS(0) workers.
+// runtime.GOMAXPROCS(0) workers. New builds the first worker itself, so
+// a factory that returns a nil allocator is an error here rather than a
+// panic in the first batch.
 func New(mach *Machine, opts ...Option) (*Engine, error) {
 	if mach == nil {
 		return nil, fmt.Errorf("regalloc: New: nil machine")
@@ -151,16 +160,43 @@ func New(mach *Machine, opts ...Option) (*Engine, error) {
 	if !ok {
 		return nil, fmt.Errorf("regalloc: unknown algorithm %q (have %v)", e.algorithm, Algorithms())
 	}
-	e.pool.New = func() any {
-		a := factory(e.mach)
-		if e.pipe.ProfileAllocs {
-			if pp, ok := a.(alloc.PhaseProfiler); ok {
-				pp.SetPhaseProfile(true)
-			}
-		}
-		return &worker{a: a}
+	e.factory = factory
+	w, err := e.newWorker()
+	if err != nil {
+		return nil, err
 	}
+	e.idle = append(e.idle, w)
 	return e, nil
+}
+
+// newWorker builds a worker around a fresh allocator from the factory.
+func (e *Engine) newWorker() (*worker, error) {
+	a := e.factory(e.mach)
+	if a == nil {
+		return nil, fmt.Errorf("regalloc: algorithm %q: factory returned a nil allocator", e.algorithm)
+	}
+	return &worker{a: a}, nil
+}
+
+// getWorker takes an idle worker, or builds one when every worker is
+// busy.
+func (e *Engine) getWorker() (*worker, error) {
+	e.mu.Lock()
+	if n := len(e.idle); n > 0 {
+		w := e.idle[n-1]
+		e.idle = e.idle[:n-1]
+		e.mu.Unlock()
+		return w, nil
+	}
+	e.mu.Unlock()
+	return e.newWorker()
+}
+
+// putWorker returns w to the idle list.
+func (e *Engine) putWorker(w *worker) {
+	e.mu.Lock()
+	e.idle = append(e.idle, w)
+	e.mu.Unlock()
 }
 
 // Machine returns the machine the engine allocates for.
@@ -173,8 +209,11 @@ func (e *Engine) Algorithm() string { return e.algorithm }
 // with a pooled allocator and returns the rewritten procedure with
 // statistics. The input is not modified. Safe for concurrent use.
 func (e *Engine) AllocateProc(p *Proc) (*Result, error) {
-	w := e.pool.Get().(*worker)
-	defer e.pool.Put(w)
+	w, err := e.getWorker()
+	if err != nil {
+		return nil, err
+	}
+	defer e.putWorker(w)
 	return e.pipe.Run(w.a, &w.dce, p)
 }
 

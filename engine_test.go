@@ -3,7 +3,9 @@ package regalloc_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -46,18 +48,25 @@ type countingAllocator struct {
 	calls *atomic.Int64
 }
 
-func (c *countingAllocator) Allocate(p *regalloc.Proc) (*regalloc.Result, error) {
+func (c *countingAllocator) Allocate(p *regalloc.Proc, lv *regalloc.Liveness, tm *regalloc.Timer) (*regalloc.Result, error) {
 	c.calls.Add(1)
-	return c.Allocator.Allocate(p)
+	return c.Allocator.Allocate(p, lv, tm)
 }
 
+var (
+	registerCountingOnce sync.Once
+	countingCalls        atomic.Int64
+)
+
 func TestRegistryRoundTrip(t *testing.T) {
-	var calls atomic.Int64
-	err := regalloc.Register("test-counting", func(m *regalloc.Machine) regalloc.Allocator {
-		return &countingAllocator{
-			Allocator: core.NewDefault(m),
-			calls:     &calls,
-		}
+	var err error
+	registerCountingOnce.Do(func() {
+		err = regalloc.Register("test-counting", func(m *regalloc.Machine) regalloc.Allocator {
+			return &countingAllocator{
+				Allocator: core.NewDefault(m),
+				calls:     &countingCalls,
+			}
+		})
 	})
 	if err != nil {
 		t.Fatalf("Register: %v", err)
@@ -93,11 +102,126 @@ func TestRegistryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := progs.Named("wc").Build(mach, 1)
+	before := countingCalls.Load()
 	if _, _, err := eng.AllocateProgram(context.Background(), prog); err != nil {
 		t.Fatal(err)
 	}
-	if got := calls.Load(); got != int64(len(prog.Procs)) {
+	if got := countingCalls.Load() - before; got != int64(len(prog.Procs)) {
 		t.Fatalf("custom allocator saw %d calls, want %d", got, len(prog.Procs))
+	}
+}
+
+var registerNilOnce sync.Once
+
+// TestNewRejectsNilAllocator checks that New builds a worker itself, so
+// a factory returning a nil allocator is an error naming the algorithm
+// rather than a panic in a batch's fan-out goroutine.
+func TestNewRejectsNilAllocator(t *testing.T) {
+	var regErr error
+	registerNilOnce.Do(func() {
+		regErr = regalloc.Register("test-nil-allocator", func(*regalloc.Machine) regalloc.Allocator { return nil })
+	})
+	if regErr != nil {
+		t.Fatal(regErr)
+	}
+	_, err := regalloc.New(regalloc.Alpha(), regalloc.WithAlgorithm("test-nil-allocator"), regalloc.WithParallelism(4))
+	if err == nil {
+		t.Fatal("New accepted a factory that returns a nil allocator")
+	}
+	if !strings.Contains(err.Error(), "test-nil-allocator") {
+		t.Fatalf("error %q does not name the algorithm", err)
+	}
+}
+
+// wrappedAllocator forwards to a shipped allocator, the way an external
+// allocator registered through regalloc.Register builds on one.
+type wrappedAllocator struct{ inner regalloc.Allocator }
+
+func (w wrappedAllocator) Name() string { return "wrapped " + w.inner.Name() }
+
+func (w wrappedAllocator) Allocate(p *regalloc.Proc, lv *regalloc.Liveness, tm *regalloc.Timer) (*regalloc.Result, error) {
+	return w.inner.Allocate(p, lv, tm)
+}
+
+var registerWrappedOnce sync.Once
+
+// TestWrappedAllocatorTakesShippedPath checks that a registered wrapper
+// around binpack runs the path the built-in runs: byte-identical code on
+// the Table 3 modules, and under WithPhaseProfile the heap counters of
+// the phases the inner allocator marks.
+func TestWrappedAllocatorTakesShippedPath(t *testing.T) {
+	var regErr error
+	registerWrappedOnce.Do(func() {
+		regErr = regalloc.Register("test-wrapped-binpack", func(m *regalloc.Machine) regalloc.Allocator {
+			return wrappedAllocator{inner: core.NewDefault(m)}
+		})
+	})
+	if regErr != nil {
+		t.Fatal(regErr)
+	}
+	mach := regalloc.Alpha()
+	ctx := context.Background()
+	for _, mod := range progs.Table3Modules(mach) {
+		bin, err := regalloc.New(mach, regalloc.WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrapped, err := regalloc.New(mach, regalloc.WithAlgorithm("test-wrapped-binpack"),
+			regalloc.WithParallelism(1), regalloc.WithPhaseProfile(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := bin.AllocateProgram(ctx, mod.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, rep, err := wrapped.AllocateProgram(ctx, mod.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dumpProgram(got, mach) != dumpProgram(want, mach) {
+			t.Errorf("%s: wrapped binpack output differs from binpack", mod.Name)
+		}
+		for _, ps := range rep.PhaseStats {
+			if ps.Phase == "scan" && ps.Allocs == 0 {
+				t.Errorf("%s: wrapped binpack under WithPhaseProfile reports zero scan allocs", mod.Name)
+			}
+		}
+	}
+}
+
+// TestEngineKeepsWorkersAcrossGC checks that garbage collection does not
+// discard the engine's warm workers: a batch after two GC cycles
+// allocates within 10% of a warm batch. Workers held in a sync.Pool fail
+// this, since two cycles empty the pool and the next batch regrows every
+// scratch arena.
+func TestEngineKeepsWorkersAcrossGC(t *testing.T) {
+	mach := regalloc.Alpha()
+	mod := progs.Table3Modules(mach)[1] // twldrv.f: one large procedure
+	eng, err := regalloc.New(mach, regalloc.WithVerify(false), regalloc.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// MemStats counts exactly (it flushes every P's allocation cache),
+	// unlike the sampled counters a Report carries.
+	var ms runtime.MemStats
+	batch := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if _, _, err := eng.AllocateProgram(context.Background(), mod.Prog); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs - before
+	}
+	batch() // warm up: size the worker's scratch arenas
+	warm := batch()
+	runtime.GC()
+	runtime.GC()
+	afterGC := batch()
+	t.Logf("allocs per batch: warm %d, after two GCs %d", warm, afterGC)
+	if float64(afterGC) > 1.1*float64(warm) {
+		t.Fatalf("batch after two GCs took %d allocs, warm %d: the engine dropped its warm worker", afterGC, warm)
 	}
 }
 
@@ -358,7 +482,7 @@ func TestEnginePhaseStats(t *testing.T) {
 		t.Fatal("batch heap counters missing")
 	}
 
-	// Registry allocators honor profiling through PhaseProfiler.
+	// Every registered allocator profiles through the pipeline's timer.
 	col, err := regalloc.New(mach, regalloc.WithAlgorithm("coloring"),
 		regalloc.WithParallelism(1), regalloc.WithPhaseProfile(true))
 	if err != nil {

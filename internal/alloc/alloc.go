@@ -15,33 +15,18 @@ import (
 	"repro/internal/target"
 )
 
-// Allocator is a register allocation algorithm. Allocate must not mutate
-// its input: implementations clone the procedure, rewrite the clone so
-// that no temporary operands remain, and report statistics.
+// Allocator is a register allocation algorithm. Allocate rewrites p, a
+// procedure the caller owns, in place so that no temporary operands
+// remain, and returns it with statistics; p must not be used afterwards
+// except through the result. lv is p's liveness as it stands (the one
+// Prepare returns); the allocator must not keep it past the call. tm is
+// the pipeline's phase timer: the allocator marks the phases it runs
+// into its result's Stats, and the pipeline charges any span it leaves
+// unmarked to PhaseScan. A nil tm marks nothing. Instances keep
+// per-instance scratch and must not run concurrent allocations.
 type Allocator interface {
 	Name() string
-	Allocate(p *ir.Proc) (*Result, error)
-}
-
-// OwnedAllocator is implemented by allocators that can consume a
-// procedure the caller owns outright: AllocateOwned rewrites p in place
-// (p must not be used afterwards) and skips the defensive clone that
-// Allocate performs. A non-nil lv is the liveness of p as it stands, the
-// one Prepare returns; the allocator uses it in place of computing its
-// own and must not keep it past the call. The engine uses this path so
-// that a procedure is cloned, and its liveness computed, once per
-// pipeline run instead of once per pass.
-type OwnedAllocator interface {
-	AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*Result, error)
-}
-
-// PhaseProfiler is implemented by allocators that can annotate their
-// per-phase timings with heap-allocation deltas. The engine calls
-// SetPhaseProfile(true) on every pooled instance when it was built with
-// phase profiling enabled; allocators that do not implement it simply
-// report timings with zero alloc counters.
-type PhaseProfiler interface {
-	SetPhaseProfile(on bool)
+	Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *Timer) (*Result, error)
 }
 
 // Result is a finished allocation.

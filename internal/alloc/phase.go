@@ -123,7 +123,7 @@ func (pt *PhaseTimes) Stats() []PhaseStat {
 // construct it when a pipeline starts and call Mark at each phase
 // boundary; the interval since the previous mark is charged to the named
 // phase. Alloc sampling reads two runtime/metrics counters per mark —
-// cheap, but not free, so it is opt-in (Options.ProfileAllocs /
+// cheap, but not free, so it is opt-in (Pipeline.ProfileAllocs /
 // regalloc.WithPhaseProfile); plain timing costs one time.Now per mark
 // and is always on. A Timer belongs to one goroutine. Note that heap
 // counters are process-global: samples taken while other goroutines
@@ -166,17 +166,6 @@ func (t *Timer) Mark(st *Stats, ph Phase) {
 		t.lastAllocs, t.lastBytes = allocs, bytes
 		t.last = time.Now() // exclude the sampling cost itself
 	}
-}
-
-// Skip advances the timer without charging the elapsed interval to any
-// phase. Callers use it around spans another component accounts for
-// itself (the engine skips the allocator core, which runs its own
-// timer).
-func (t *Timer) Skip() {
-	if t.sampleAllocs {
-		t.lastAllocs, t.lastBytes = t.readHeap()
-	}
-	t.last = time.Now()
 }
 
 func (t *Timer) readHeap() (allocs, bytes uint64) {

@@ -12,12 +12,12 @@ import (
 
 // Pipeline is the paper's §3 per-procedure pass ordering — the only one
 // in the repository: clone the input, dead-code elimination, allocation
-// (through the OwnedAllocator fast path when the allocator has one),
-// optional symbolic verification, optional store-to-load forwarding
-// (§2.4), the peephole pass that deletes collapsed moves, and structural
-// validation of the result. The engine, the experiment harness, the
-// conformance grids and the oracle's cost prediction all run it, so the
-// grids certify exactly the path the engine serves.
+// of the clone with the liveness DCE left behind, optional symbolic
+// verification, optional store-to-load forwarding (§2.4), the peephole
+// pass that deletes collapsed moves, and structural validation of the
+// result. The engine, the experiment harness, the conformance grids and
+// the oracle's cost prediction all run it, so the grids certify exactly
+// the path the engine serves.
 type Pipeline struct {
 	Mach *target.Machine
 	// Verify runs the symbolic allocation verifier on every result.
@@ -25,8 +25,9 @@ type Pipeline struct {
 	// ForwardStores runs local store-to-load forwarding on the allocated
 	// code before the peephole pass.
 	ForwardStores bool
-	// ProfileAllocs annotates the phases the pipeline times itself with
-	// heap-allocation counters (see Timer).
+	// ProfileAllocs annotates every phase with heap-allocation counters
+	// (see Timer), the allocator's included: it marks the pipeline's
+	// timer.
 	ProfileAllocs bool
 }
 
@@ -50,31 +51,22 @@ func Prepare(p *ir.Proc, dce *opt.Scratch, tm *Timer, st *Stats) (*ir.Proc, *dat
 // Run allocates one procedure with a, which the caller must not share
 // with a concurrent Run, and runs dead-code elimination in dce (nil for
 // throwaway storage; the engine keeps one per worker, next to the
-// allocator). The input is not modified; for an OwnedAllocator the clone
-// Prepare makes is the only defensive copy on the whole pipeline, and
-// the liveness DCE computed is the allocator's.
+// allocator). The input is not modified: the clone Prepare makes is the
+// only copy on the whole pipeline, the allocator rewrites it in place
+// with the liveness DCE computed, and it marks its phases on the
+// pipeline's timer.
 func (pl Pipeline) Run(a Allocator, dce *opt.Scratch, p *ir.Proc) (*Result, error) {
 	tm := NewTimer(pl.ProfileAllocs)
 	var own Stats // phases the pipeline itself accounts for
 	in, lv := Prepare(p, dce, &tm, &own)
-	var res *Result
-	var err error
-	if oa, ok := a.(OwnedAllocator); ok {
-		res, err = oa.AllocateOwned(in, lv)
-	} else {
-		res, err = a.Allocate(in)
-	}
+	res, err := a.Allocate(in, lv, &tm)
 	if err != nil {
 		return nil, err
 	}
-	if res.Stats.Phases.TotalNs() > 0 {
-		tm.Skip() // the allocator timed its own phases
-	} else {
-		// An external allocator with no phase instrumentation of its
-		// own: charge its whole span to the scan phase rather than
-		// dropping it, so phase shares stay meaningful.
-		tm.Mark(&own, PhaseScan)
-	}
+	// Whatever span the allocator left unmarked (all of it, for an
+	// allocator that marks nothing) is charged to the scan phase rather
+	// than dropped, so phase shares stay meaningful.
+	tm.Mark(&own, PhaseScan)
 	if pl.Verify {
 		if err := verify.Verify(res.Proc, pl.Mach); err != nil {
 			return nil, err

@@ -34,13 +34,7 @@ type Allocator struct {
 	mach *target.Machine
 	// MaxRounds bounds build/color iterations (default 32).
 	MaxRounds int
-
-	profileAllocs bool
 }
-
-// SetPhaseProfile toggles heap-allocation sampling at phase boundaries;
-// the engine calls it on pooled instances under WithPhaseProfile.
-func (a *Allocator) SetPhaseProfile(on bool) { a.profileAllocs = on }
 
 // New returns a coloring allocator for the machine.
 func New(m *target.Machine) *Allocator { return &Allocator{mach: m, MaxRounds: 32} }
@@ -54,26 +48,15 @@ func (a *Allocator) Name() string { return "graph coloring (George-Appel)" }
 
 var _ alloc.Allocator = (*Allocator)(nil)
 
-// Allocate clones p, colors both register files, rewrites the clone and
-// returns it with statistics.
-func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return a.AllocateOwned(orig.Clone(), nil)
-}
-
-// AllocateOwned colors a procedure the caller owns: p is rewritten in
-// place and must not be used afterwards. lv, when not nil, is p's
-// liveness (see alloc.OwnedAllocator); otherwise it is computed here.
-// Either way it is the one liveness of every round.
-func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
+// Allocate colors both register files of p and rewrites it in place,
+// with lv as its liveness and tm as the pipeline's phase timer (see
+// alloc.Allocator). lv is the one liveness of every round.
+func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
-	tm := alloc.NewTimer(a.profileAllocs)
 	p.Renumber()
 	tm.Mark(&res.Stats, alloc.PhaseOther)
 	cfg.ComputeLoopDepths(p)
 	tm.Mark(&res.Stats, alloc.PhaseCFG)
-	if lv == nil {
-		lv = dataflow.Compute(p)
-	}
 	tm.Mark(&res.Stats, alloc.PhaseDataflow)
 
 	start := time.Now()

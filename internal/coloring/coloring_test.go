@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/target"
@@ -97,7 +98,9 @@ func TestColoringSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
-			res, err := New(tc.mach).Allocate(prog.Proc("main"))
+			c := prog.Proc("main").Clone()
+			c.Renumber()
+			res, err := New(tc.mach).Allocate(c, dataflow.Compute(c), nil)
 			if err != nil {
 				t.Fatalf("allocate: %v", err)
 			}
@@ -137,7 +140,10 @@ func TestCoalescingRemovesParamMoves(t *testing.T) {
 	pb.Op2(ir.Add, z, ir.TempOp(x), ir.TempOp(y))
 	pb.Ret(z)
 
-	res, err := New(mach).Allocate(pb.P)
+	c := pb.P.Clone()
+
+	c.Renumber()
+	res, err := New(mach).Allocate(c, dataflow.Compute(c), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,11 +70,6 @@ type Options struct {
 	StrictLinear bool
 	// Heuristic selects the eviction priority function.
 	Heuristic HeuristicKind
-	// ProfileAllocs annotates the per-phase timings in Stats.Phases
-	// with heap-allocation deltas (runtime/metrics reads at every phase
-	// boundary). Off by default: timings are always collected, but
-	// allocation sampling costs two counter reads per phase.
-	ProfileAllocs bool
 }
 
 // DefaultOptions returns the paper's configuration.
@@ -87,18 +82,16 @@ func DefaultOptions() Options {
 }
 
 // Allocator is the binpacking register allocator. It keeps per-instance
-// scratch buffers — for liveness (when the caller hands none over),
-// lifetime construction, and the scan itself — that are reused across
-// Allocate calls, so one Allocator must not run concurrent allocations;
-// use one instance per goroutine (the engine's worker pool does exactly
-// that). In steady state, repeated
-// allocation through one instance performs near-zero heap allocation
-// beyond the rewritten procedure itself.
+// scratch buffers — for lifetime construction and the scan itself —
+// that are reused across Allocate calls, so one Allocator must not run
+// concurrent allocations; use one instance per goroutine (the engine's
+// worker pool does exactly that). In steady state, repeated allocation
+// through one instance performs near-zero heap allocation beyond the
+// rewritten procedure itself.
 type Allocator struct {
 	mach    *target.Machine
 	opts    Options
 	scratch scanScratch
-	df      dataflow.Scratch
 	ltsc    lifetime.Scratch
 	rbsc    lifetime.RegScratch
 }
@@ -119,32 +112,14 @@ func (a *Allocator) Name() string {
 	return "second-chance binpacking"
 }
 
-var (
-	_ alloc.Allocator      = (*Allocator)(nil)
-	_ alloc.OwnedAllocator = (*Allocator)(nil)
-	_ alloc.PhaseProfiler  = (*Allocator)(nil)
-)
+var _ alloc.Allocator = (*Allocator)(nil)
 
-// SetPhaseProfile toggles heap-allocation sampling at phase boundaries
-// (Options.ProfileAllocs); the engine calls it on pooled instances.
-func (a *Allocator) SetPhaseProfile(on bool) { a.opts.ProfileAllocs = on }
-
-// Allocate clones p, allocates registers, rewrites the clone, and returns
-// it with statistics. The input procedure is not modified.
-func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return a.AllocateOwned(orig.Clone(), nil)
-}
-
-// AllocateOwned allocates registers for a procedure the caller owns: p
-// is rewritten in place (and must not be used afterwards). lv, when not
-// nil, is p's liveness (see alloc.OwnedAllocator); otherwise the
-// allocator computes it in its pooled scratch. The engine uses this path
-// so each procedure is cloned, and its liveness computed, exactly once
-// per pipeline run.
-func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
+// Allocate allocates registers for p, rewriting it in place, with lv as
+// its liveness and tm as the pipeline's phase timer (see
+// alloc.Allocator).
+func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
 	st := &res.Stats
-	tm := alloc.NewTimer(a.opts.ProfileAllocs)
 
 	p.Renumber()
 	tm.Mark(st, alloc.PhaseOther)
@@ -153,9 +128,6 @@ func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Res
 	// allocators, §3.2).
 	cfg.ComputeLoopDepths(p)
 	tm.Mark(st, alloc.PhaseCFG)
-	if lv == nil {
-		lv = a.df.Compute(p)
-	}
 	tm.Mark(st, alloc.PhaseDataflow)
 
 	start := time.Now()

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/target"
 	"repro/internal/vm"
@@ -74,7 +75,10 @@ func TestFigure2Resolution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := NewDefault(mach).Allocate(pb.P)
+	c := pb.P.Clone()
+
+	c.Renumber()
+	res, err := NewDefault(mach).Allocate(c, dataflow.Compute(c), nil)
 	if err != nil {
 		t.Fatalf("allocate: %v\n%s", err, ir.ProcString(pb.P))
 	}
@@ -143,7 +147,10 @@ func TestConsistencySuppressesStores(t *testing.T) {
 	}
 	pb.Ret(acc)
 
-	res, err := NewDefault(mach).Allocate(pb.P)
+	c := pb.P.Clone()
+
+	c.Renumber()
+	res, err := NewDefault(mach).Allocate(c, dataflow.Compute(c), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +182,10 @@ func TestMoveOptCoalescesParamMove(t *testing.T) {
 	pb.Op2(ir.Add, y, ir.TempOp(x), ir.ImmOp(1))
 	pb.Ret(y)
 
-	res, err := NewDefault(mach).Allocate(pb.P)
+	c := pb.P.Clone()
+
+	c.Renumber()
+	res, err := NewDefault(mach).Allocate(c, dataflow.Compute(c), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +207,9 @@ func TestMoveOptCoalescesParamMove(t *testing.T) {
 	// Without the optimization the move must remain a real move.
 	o := DefaultOptions()
 	o.MoveOpt = false
-	res2, err := New(mach, o).Allocate(pb.P)
+	c = pb.P.Clone()
+	c.Renumber()
+	res2, err := New(mach, o).Allocate(c, dataflow.Compute(c), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

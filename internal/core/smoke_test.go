@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/target"
@@ -94,7 +95,9 @@ func runBoth(t *testing.T, mach *target.Machine, prog *ir.Program, a alloc.Alloc
 		allocd.SetMem(a2, v)
 	}
 	for _, p := range prog.Procs {
-		res, err := a.Allocate(p)
+		c := p.Clone()
+		c.Renumber()
+		res, err := a.Allocate(c, dataflow.Compute(c), nil)
 		if err != nil {
 			t.Fatalf("allocate %s: %v", p.Name, err)
 		}

@@ -16,6 +16,7 @@ import (
 	_ "repro/internal/coloring"
 	"repro/internal/ir"
 	_ "repro/internal/linearscan"
+	"repro/internal/opt"
 	"repro/internal/progs"
 	"repro/internal/target"
 	"repro/internal/vm"
@@ -202,7 +203,9 @@ type Table3Row struct {
 // Table3 regenerates Table 3: allocation-core wall-clock time for both
 // allocators on modules of increasing candidate counts. Times cover only
 // the allocator cores (setup excluded), as in §3.2; each measurement is
-// the best of five runs, as in the paper.
+// the best of five runs, as in the paper. Every procedure goes through
+// alloc.Pipeline, so the cores see the clone and liveness the engine
+// hands them.
 func Table3(mach *target.Machine) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, mod := range progs.Table3Modules(mach) {
@@ -216,6 +219,8 @@ func Table3(mach *target.Machine) ([]Table3Row, error) {
 		best := func(a alloc.Allocator) (time.Duration, alloc.Stats, error) {
 			var bestT time.Duration
 			var stats alloc.Stats
+			var dce opt.Scratch
+			pl := alloc.Pipeline{Mach: mach}
 			for rep := 0; rep < 5; rep++ {
 				var total time.Duration
 				var agg alloc.Stats
@@ -223,7 +228,7 @@ func Table3(mach *target.Machine) ([]Table3Row, error) {
 					if p.Name == "main" {
 						continue
 					}
-					res, err := a.Allocate(p)
+					res, err := pl.Run(a, &dce, p)
 					if err != nil {
 						return 0, agg, err
 					}

@@ -3,6 +3,7 @@ package integration
 import (
 	"testing"
 
+	"repro/internal/dataflow"
 	"repro/internal/experiments"
 	"repro/internal/progs"
 	"repro/internal/target"
@@ -149,7 +150,9 @@ func TestClaimColoringDegradesOnLargeModules(t *testing.T) {
 			if p.Name == "main" {
 				continue
 			}
-			res, err := a.Allocate(p)
+			c := p.Clone()
+			c.Renumber()
+			res, err := a.Allocate(c, dataflow.Compute(c), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

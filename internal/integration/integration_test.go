@@ -11,6 +11,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/coloring"
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/linearscan"
 	"repro/internal/opt"
@@ -45,7 +46,9 @@ func allocateProgram(t *testing.T, mach *target.Machine, a alloc.Allocator, prog
 		out.SetMem(addr, v)
 	}
 	for _, p := range prog.Procs {
-		res, err := a.Allocate(p)
+		c := p.Clone()
+		c.Renumber()
+		res, err := a.Allocate(c, dataflow.Compute(c), nil)
 		if err != nil {
 			t.Fatalf("%s: allocate %s: %v", a.Name(), p.Name, err)
 		}
@@ -208,7 +211,9 @@ func TestForwardStoresPreservesSemantics(t *testing.T) {
 func TestVerifierCatchesCorruption(t *testing.T) {
 	mach := target.Tiny(6, 4)
 	prog := progs.Random(mach, progs.DefaultGen(7))
-	res, err := core.NewDefault(mach).Allocate(prog.Proc("main"))
+	c := prog.Proc("main").Clone()
+	c.Renumber()
+	res, err := core.NewDefault(mach).Allocate(c, dataflow.Compute(c), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,8 +137,11 @@ func TestPropertyAllocationIdempotentStats(t *testing.T) {
 	for seed := int64(500); seed < 512; seed++ {
 		prog := progs.Random(mach, progs.DefaultGen(seed))
 		for name, a := range allocators(mach) {
-			r1, err1 := a.Allocate(prog.Proc("main"))
-			r2, err2 := a.Allocate(prog.Proc("main"))
+			c1, c2 := prog.Proc("main").Clone(), prog.Proc("main").Clone()
+			c1.Renumber()
+			c2.Renumber()
+			r1, err1 := a.Allocate(c1, dataflow.Compute(c1), nil)
+			r2, err2 := a.Allocate(c2, dataflow.Compute(c2), nil)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("seed %d %s: %v/%v", seed, name, err1, err2)
 			}

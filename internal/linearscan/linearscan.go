@@ -29,13 +29,8 @@ import (
 
 // Allocator is the Poletto-style linear-scan allocator.
 type Allocator struct {
-	mach          *target.Machine
-	profileAllocs bool
+	mach *target.Machine
 }
-
-// SetPhaseProfile toggles heap-allocation sampling at phase boundaries;
-// the engine calls it on pooled instances under WithPhaseProfile.
-func (a *Allocator) SetPhaseProfile(on bool) { a.profileAllocs = on }
 
 // New returns a linear-scan allocator for the machine.
 func New(m *target.Machine) *Allocator { return &Allocator{mach: m} }
@@ -55,25 +50,15 @@ type span struct {
 	reg        target.Reg
 }
 
-// Allocate clones p, assigns whole flat intervals to registers with the
-// furthest-end spill heuristic, rewrites, and returns statistics.
-func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return a.AllocateOwned(orig.Clone(), nil)
-}
-
-// AllocateOwned allocates a procedure the caller owns: p is rewritten in
-// place and must not be used afterwards. lv, when not nil, is p's
-// liveness (see alloc.OwnedAllocator); otherwise it is computed here.
-func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
+// Allocate assigns whole flat intervals of p to registers with the
+// furthest-end spill heuristic and rewrites p in place, with lv as its
+// liveness and tm as the pipeline's phase timer (see alloc.Allocator).
+func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
-	tm := alloc.NewTimer(a.profileAllocs)
 	p.Renumber()
 	tm.Mark(&res.Stats, alloc.PhaseOther)
 	cfg.ComputeLoopDepths(p)
 	tm.Mark(&res.Stats, alloc.PhaseCFG)
-	if lv == nil {
-		lv = dataflow.Compute(p)
-	}
 	tm.Mark(&res.Stats, alloc.PhaseDataflow)
 
 	start := time.Now()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/progs"
@@ -26,7 +27,9 @@ func TestPolettoOnRandomPrograms(t *testing.T) {
 				allocd.SetMem(a, v)
 			}
 			for _, p := range prog.Procs {
-				res, err := New(mach).Allocate(p)
+				c := p.Clone()
+				c.Renumber()
+				res, err := New(mach).Allocate(c, dataflow.Compute(c), nil)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -67,7 +70,10 @@ func TestNoHolesExploited(t *testing.T) {
 	pb.Op2(ir.Add, u, ir.TempOp(u), ir.TempOp(long))
 	pb.Ret(u)
 
-	res, err := New(mach).Allocate(pb.P)
+	c := pb.P.Clone()
+
+	c.Renumber()
+	res, err := New(mach).Allocate(c, dataflow.Compute(c), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +112,9 @@ func TestSuiteUnderLinearScan(t *testing.T) {
 			allocd.SetMem(a, v)
 		}
 		for _, p := range prog.Procs {
-			res, err := New(mach).Allocate(p)
+			c := p.Clone()
+			c.Renumber()
+			res, err := New(mach).Allocate(c, dataflow.Compute(c), nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -17,10 +17,9 @@ import (
 // lose the optimality proof — so the oracle can sit in the full
 // conformance grid without a size carve-out.
 type Allocator struct {
-	mach          *target.Machine
-	lim           Limits
-	profile       *Profile
-	profileAllocs bool
+	mach    *target.Machine
+	lim     Limits
+	profile *Profile
 }
 
 // New returns an oracle allocator with DefaultLimits and static
@@ -44,23 +43,12 @@ func (a *Allocator) SetLimits(lim Limits) { a.lim = lim }
 // treated as never executed (all weights zero).
 func (a *Allocator) SetProfile(pf *Profile) { a.profile = pf }
 
-// SetPhaseProfile toggles heap-allocation sampling at phase boundaries.
-func (a *Allocator) SetPhaseProfile(on bool) { a.profileAllocs = on }
-
 var _ alloc.Allocator = (*Allocator)(nil)
-var _ alloc.OwnedAllocator = (*Allocator)(nil)
 
-// Allocate clones p and allocates the clone.
-func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return a.AllocateOwned(orig.Clone(), nil)
-}
-
-// AllocateOwned allocates a procedure the caller owns: p is rewritten
-// in place and must not be used afterwards. lv, when not nil, is p's
-// liveness (see alloc.OwnedAllocator).
-func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
+// Allocate plans and rewrites p in place, with lv as its liveness and
+// tm as the pipeline's phase timer (see alloc.Allocator).
+func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
-	tm := alloc.NewTimer(a.profileAllocs)
 	start := time.Now()
 
 	plan := planProc(p, lv, a.mach, a.profile.FreqFunc(p.Name), a.lim)

@@ -158,15 +158,11 @@ func overlap(a, b []lifetime.Segment) bool {
 
 // planProc computes the minimum-spill-cost whole-lifetime assignment
 // for p under the given block-frequency function. p is mutated
-// (Renumber, loop depths); callers pass owned clones. lv, when not nil,
-// is p's liveness (see alloc.OwnedAllocator); otherwise it is computed
-// here.
+// (Renumber, loop depths); callers pass owned clones. lv is p's
+// liveness.
 func planProc(p *ir.Proc, lv *dataflow.Liveness, mach *target.Machine, freq func(*ir.Block) int64, lim Limits) *Plan {
 	p.Renumber()
 	cfg.ComputeLoopDepths(p)
-	if lv == nil {
-		lv = dataflow.Compute(p)
-	}
 	lt := lifetime.Compute(p, lv)
 	rb := lifetime.ComputeRegBusy(p, mach)
 	w := spillWeights(p, freq)

@@ -128,7 +128,9 @@ func TestBruteForceAgreement(t *testing.T) {
 				if !ok {
 					continue
 				}
-				plan := planProc(p.Clone(), nil, mach, StaticFreq, DefaultLimits())
+				in := p.Clone()
+				in.Renumber()
+				plan := planProc(in, dataflow.Compute(in), mach, StaticFreq, DefaultLimits())
 				if !plan.Proven {
 					t.Fatalf("%s/%s seed %d: tiny fixture not proven (items %d kernel %d nodes %d)",
 						mach.Name, p.Name, seed, plan.Items, plan.Kernel, plan.Nodes)
@@ -244,7 +246,9 @@ func TestWideMachineKernelizes(t *testing.T) {
 	gen.Stmts = 40
 	prog := progs.Random(mach, gen)
 	for _, p := range prog.Procs {
-		plan := planProc(p.Clone(), nil, mach, StaticFreq, DefaultLimits())
+		in := p.Clone()
+		in.Renumber()
+		plan := planProc(in, dataflow.Compute(in), mach, StaticFreq, DefaultLimits())
 		if plan.Kernel != 0 || !plan.Proven || plan.Cost != 0 || plan.Nodes != 0 {
 			t.Fatalf("%s: wide machine should kernelize fully: kernel %d cost %d proven %v nodes %d",
 				p.Name, plan.Kernel, plan.Cost, plan.Proven, plan.Nodes)
@@ -277,7 +281,8 @@ func TestProfileDirectsSpills(t *testing.T) {
 	var staticCost int64
 	for _, p := range prog.Procs {
 		in := p.Clone()
-		plan := planProc(in, nil, mach, StaticFreq, DefaultLimits())
+		in.Renumber()
+		plan := planProc(in, dataflow.Compute(in), mach, StaticFreq, DefaultLimits())
 		// Re-cost the static assignment under dynamic weights.
 		in2 := p.Clone()
 		in2.Renumber()

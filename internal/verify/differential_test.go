@@ -36,8 +36,8 @@ func allocate(t testing.TB, name string, prog *ir.Program, mach *target.Machine,
 	}
 	var out []allocated
 	for _, p := range prog.Procs {
-		in, _ := alloc.Prepare(p, nil, nil, nil)
-		res, err := a.Allocate(in)
+		in, lv := alloc.Prepare(p, nil, nil, nil)
+		res, err := a.Allocate(in, lv, nil)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, p.Name, err)
 		}

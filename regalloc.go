@@ -25,7 +25,12 @@
 //	out, err := regalloc.Execute(allocated, mach, input)
 //
 // Allocators are pluggable: Register adds a named factory and
-// WithAlgorithm selects it; Algorithms lists what is available.
+// WithAlgorithm selects it; Algorithms lists what is available. Every
+// allocator, built in or registered, meets one contract,
+// Allocator.Allocate(p, lv, tm): the engine clones each procedure once
+// and runs dead-code elimination on the clone, and the allocator
+// rewrites that clone in place, using the liveness lv that elimination
+// left behind and marking its phases on the pipeline's Timer tm.
 package regalloc
 
 import (
@@ -88,18 +93,18 @@ type (
 	PhaseSample = alloc.PhaseSample
 	// PhaseStat is one phase's row of Report.PhaseStats.
 	PhaseStat = alloc.PhaseStat
-	// Allocator is the common allocator interface.
+	// Allocator is the one allocator contract: Allocate rewrites a
+	// procedure the engine owns in place, given its liveness and the
+	// pipeline's phase timer.
 	Allocator = alloc.Allocator
-	// OwnedAllocator is the optional in-place fast path an Allocator
-	// can implement to skip the engine's defensive clone and take over
-	// the liveness dead-code elimination computed.
-	OwnedAllocator = alloc.OwnedAllocator
 	// Liveness is a procedure's global liveness, as the engine hands it
-	// to an OwnedAllocator.
+	// to an Allocator.
 	Liveness = dataflow.Liveness
-	// PhaseProfiler is the optional interface through which the engine
-	// enables per-phase allocation sampling (WithPhaseProfile).
-	PhaseProfiler = alloc.PhaseProfiler
+	// Timer is the pipeline's phase timer, as the engine hands it to an
+	// Allocator. A wrapping allocator passes it on; the span an
+	// allocator leaves unmarked counts as the scan phase, and a nil
+	// Timer marks nothing.
+	Timer = alloc.Timer
 
 	// ExecResult is a VM execution outcome.
 	ExecResult = vm.Result
