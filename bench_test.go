@@ -205,7 +205,6 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 					b.ReportMetric(float64(ps.Ns), ps.Phase+"-ns/op")
 				}
 			}
-			b.ReportMetric(float64(rep.HeapAllocs), "heap-allocs/op")
 		})
 	}
 }
@@ -372,12 +371,12 @@ func BenchmarkVerify(b *testing.B) {
 	a := experiments.Binpack(mach)
 	var procs []*ir.Proc
 	for _, p := range bench.Build(mach, bench.DefaultScale).Procs {
-		in, lv := alloc.Prepare(p, nil, nil, nil)
+		in, lv := alloc.Prepare(p, nil, nil)
 		res, err := a.Allocate(in, lv, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		procs = append(procs, res.Proc)
+		procs = append(procs, res.Proc.Clone()) // copied out before the next allocation, as the pipeline does
 	}
 	verifyAll := func() {
 		for _, p := range procs {

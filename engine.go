@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/alloc"
-	"repro/internal/opt"
 )
 
 // Engine is a reusable, concurrency-safe allocation pipeline for one
@@ -35,10 +34,11 @@ type Engine struct {
 }
 
 // worker is the pooled state of one concurrent pipeline run: an
-// allocator instance and the DCE scratch whose liveness it takes over.
+// allocator instance and the pipeline scratch (clone arena, DCE scratch
+// and phase timer) it runs on.
 type worker struct {
-	a   Allocator
-	dce opt.Scratch
+	a  Allocator
+	sc alloc.Scratch
 }
 
 // Option configures an Engine at construction time.
@@ -214,7 +214,7 @@ func (e *Engine) AllocateProc(p *Proc) (*Result, error) {
 		return nil, err
 	}
 	defer e.putWorker(w)
-	return e.pipe.Run(w.a, &w.dce, p)
+	return e.pipe.Run(w.a, &w.sc, p)
 }
 
 // AllocateProgram allocates every procedure of prog over the engine's

@@ -225,6 +225,56 @@ func TestEngineKeepsWorkersAcrossGC(t *testing.T) {
 	}
 }
 
+// TestEngineOutputsOwnTheirStorage checks that an allocated program
+// shares no storage with the engine's workers. A worker clones into,
+// rewrites in and resolves into pooled arenas, and only the pipeline's
+// copy-out may reach the caller. One engine allocates one program twice
+// and then a different one; the first output must still print as it
+// did, and as procedures run on fresh storage print. Under -race, with
+// two workers, an arena shared with an output would also be a race.
+func TestEngineOutputsOwnTheirStorage(t *testing.T) {
+	mach := regalloc.Alpha()
+	prog := progs.Table3Modules(mach)[0].Prog // cvrin.c: nine procedures of different sizes
+	other := progs.Named("fpppp").Build(mach, 1)
+	var want strings.Builder
+	for _, p := range prog.Procs {
+		res, err := alloc.Pipeline{Mach: mach, Verify: true}.Run(core.NewDefault(mach), nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.WriteString(regalloc.DumpProc(res.Proc, mach))
+		want.WriteByte('\n')
+	}
+	ctx := context.Background()
+	for _, par := range []int{1, 2} {
+		eng, err := regalloc.New(mach, regalloc.WithParallelism(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, _, err := eng.AllocateProgram(ctx, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		printed := dumpProgram(first, mach)
+		if printed != want.String() {
+			t.Fatalf("parallelism %d: output differs from procedures run on fresh storage", par)
+		}
+		second, _, err := eng.AllocateProgram(ctx, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := eng.AllocateProgram(ctx, other); err != nil {
+			t.Fatal(err)
+		}
+		if dumpProgram(first, mach) != printed {
+			t.Errorf("parallelism %d: the first output changed after later batches on the same engine", par)
+		}
+		if dumpProgram(second, mach) != printed {
+			t.Errorf("parallelism %d: the second output differs from the first", par)
+		}
+	}
+}
+
 func TestEngineUnknownAlgorithm(t *testing.T) {
 	_, err := regalloc.New(regalloc.Alpha(), regalloc.WithAlgorithm("no-such-allocator"))
 	if err == nil {

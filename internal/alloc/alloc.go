@@ -6,7 +6,6 @@ package alloc
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/dataflow"
@@ -23,7 +22,10 @@ import (
 // the pipeline's phase timer: the allocator marks the phases it runs
 // into its result's Stats, and the pipeline charges any span it leaves
 // unmarked to PhaseScan. A nil tm marks nothing. Instances keep
-// per-instance scratch and must not run concurrent allocations.
+// per-instance scratch and must not run concurrent allocations. The
+// rewritten code may live in that scratch until the instance's next
+// Allocate: a caller that keeps a result past it copies the procedure
+// (Pipeline.Run does, once, with Proc.Clone).
 type Allocator interface {
 	Name() string
 	Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *Timer) (*Result, error)
@@ -158,15 +160,29 @@ func (f *Frame) NumSpilled() int {
 	return n
 }
 
-// InsertCalleeSaves inserts prologue saves and pre-return restores for
-// every used callee-saved register and returns how many were used. used
-// is indexed by register number (a dense RegSet; allocators keep one in
-// their pooled scratch instead of a per-run map). Both allocators need
-// this: using a callee-saved register obligates the procedure to
-// preserve its value. The save slots run in step with the registers, and
-// every save and restore takes its operands from one backing array.
-func InsertCalleeSaves(p *ir.Proc, mach *target.Machine, used []bool) int {
-	var regs []target.Reg
+// CalleeSaves is the pooled storage of callee-save insertion: the saved
+// registers, their slots, and the arenas the save and restore code and
+// the rewritten blocks are written into. The code stays there until the
+// next Insert, so the allocation pipeline copies each result out before
+// the allocator runs again. The zero value is ready to use; allocators
+// keep one per instance.
+type CalleeSaves struct {
+	regs   []target.Reg
+	slots  []int
+	ops    []ir.Operand
+	instrs []ir.Instr
+}
+
+// Insert inserts prologue saves and pre-return restores for every used
+// callee-saved register and returns how many were used. used is indexed
+// by register number (a dense RegSet; allocators keep one in their
+// pooled scratch instead of a per-run map). Every allocator needs this:
+// using a callee-saved register obligates the procedure to preserve its
+// value. The save slots run in step with the registers. The entry block
+// and every Ret block are rewritten into cs's instruction arena, and
+// every save and restore takes its operands from cs's operand arena.
+func (cs *CalleeSaves) Insert(p *ir.Proc, mach *target.Machine, used []bool) int {
+	regs := cs.regs[:0]
 	for c := target.Class(0); c < target.NumClasses; c++ {
 		for _, r := range mach.CalleeSavedRegs(c) {
 			if used[r] {
@@ -174,10 +190,12 @@ func InsertCalleeSaves(p *ir.Proc, mach *target.Machine, used []bool) int {
 			}
 		}
 	}
+	cs.regs = regs
 	if len(regs) == 0 {
 		return 0
 	}
-	slots := make([]int, len(regs))
+	cs.slots = scratch.Grow(cs.slots, len(regs))
+	slots := cs.slots
 	for i := range regs {
 		slots[i] = p.NewSlot()
 	}
@@ -188,39 +206,47 @@ func InsertCalleeSaves(p *ir.Proc, mach *target.Machine, used []bool) int {
 		}
 	}
 	// Every save and restore has two operands, register and slot.
-	ops := make([]ir.Operand, 0, 2*len(regs)*(1+rets))
+	cs.ops = scratch.Grow(cs.ops, 2*len(regs)*(1+rets))
+	ops := cs.ops[:0]
 	operands := func(i int) []ir.Operand {
 		ops = append(ops, ir.RegOp(regs[i]), ir.SlotOp(slots[i], ir.NoTemp))
 		return ops[len(ops)-2 : len(ops) : len(ops)]
 	}
+	// A block's new code is appended to the arena and carved with full
+	// capacity. Should the arena regrow midway, the blocks written
+	// before keep the old array.
+	code := cs.instrs[:0]
+	carve := func(start int) []ir.Instr { return code[start:len(code):len(code)] }
 	entry := p.Entry()
-	pro := make([]ir.Instr, 0, len(regs)+len(entry.Instrs))
 	for i := range regs {
-		pro = append(pro, ir.Instr{
+		code = append(code, ir.Instr{
 			Op:   ir.SpillSt,
 			Tag:  ir.TagSave,
 			Uses: operands(i),
 		})
 	}
-	entry.Instrs = append(pro, entry.Instrs...)
+	code = append(code, entry.Instrs...)
+	entry.Instrs = carve(0)
 	for _, b := range p.Blocks {
 		t := b.Terminator()
 		if t == nil || t.Op != ir.Ret {
 			continue
 		}
-		ret := *t
-		body := slices.Grow(b.Instrs[:len(b.Instrs)-1], len(regs)+1)
+		start := len(code)
+		code = append(code, b.Instrs[:len(b.Instrs)-1]...)
 		for i := range regs {
 			o := operands(i)
-			body = append(body, ir.Instr{
+			code = append(code, ir.Instr{
 				Op:   ir.SpillLd,
 				Tag:  ir.TagRestore,
 				Defs: o[:1:1],
 				Uses: o[1:],
 			})
 		}
-		b.Instrs = append(body, ret)
+		code = append(code, *t)
+		b.Instrs = carve(start)
 	}
+	cs.instrs = code
 	return len(regs)
 }
 

@@ -47,7 +47,7 @@ func TestInsertCalleeSaves(t *testing.T) {
 	callee := mach.CalleeSavedRegs(target.ClassInt)
 	used := make([]bool, mach.NumRegs())
 	used[callee[0]], used[callee[1]] = true, true
-	n := InsertCalleeSaves(pb.P, mach, used)
+	n := new(CalleeSaves).Insert(pb.P, mach, used)
 	if n != 2 {
 		t.Fatalf("inserted %d saves, want 2", n)
 	}

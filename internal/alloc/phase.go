@@ -120,9 +120,9 @@ func (pt *PhaseTimes) Stats() []PhaseStat {
 }
 
 // Timer attributes wall time (and optionally heap allocation) to phases:
-// construct it when a pipeline starts and call Mark at each phase
-// boundary; the interval since the previous mark is charged to the named
-// phase. Alloc sampling reads two runtime/metrics counters per mark —
+// Start it when a pipeline starts and call Mark at each phase boundary;
+// the interval since the previous mark is charged to the named phase.
+// Alloc sampling reads two runtime/metrics counters per mark —
 // cheap, but not free, so it is opt-in (Pipeline.ProfileAllocs /
 // regalloc.WithPhaseProfile); plain timing costs one time.Now per mark
 // and is always on. A Timer belongs to one goroutine. Note that heap
@@ -137,17 +137,18 @@ type Timer struct {
 	samples      [2]metrics.Sample
 }
 
-// NewTimer starts a phase timer. sampleAllocs enables per-phase heap
-// allocation deltas.
-func NewTimer(sampleAllocs bool) Timer {
-	t := Timer{sampleAllocs: sampleAllocs}
+// Start (re)starts t as a fresh phase timer, in place: the pipeline
+// keeps its timer in the worker's Scratch, so starting one per procedure
+// allocates nothing. sampleAllocs enables per-phase heap allocation
+// deltas.
+func (t *Timer) Start(sampleAllocs bool) {
+	t.sampleAllocs = sampleAllocs
 	if sampleAllocs {
 		t.samples[0].Name = "/gc/heap/allocs:objects"
 		t.samples[1].Name = "/gc/heap/allocs:bytes"
 		t.lastAllocs, t.lastBytes = t.readHeap()
 	}
 	t.last = time.Now()
-	return t
 }
 
 // Mark charges the interval since the previous mark (or construction) to

@@ -25,7 +25,8 @@ func (a memoryAllocator) Allocate(p *ir.Proc, _ *dataflow.Liveness, _ *Timer) (*
 // TestRunChargesUnmarkedSpanToScan checks the one allocator contract
 // from the pipeline's side: an allocator that marks nothing on the timer
 // is charged, wall time and (under ProfileAllocs) heap allocations, to
-// the scan phase, and to no phase the allocator would have marked.
+// the scan phase, and to no phase the allocator would have marked. The
+// dataflow phase is the pipeline's own: it times DCE's liveness solves.
 func TestRunChargesUnmarkedSpanToScan(t *testing.T) {
 	mach := target.Alpha()
 	pl := Pipeline{Mach: mach, Verify: true, ProfileAllocs: true}
@@ -38,7 +39,10 @@ func TestRunChargesUnmarkedSpanToScan(t *testing.T) {
 		if ph[PhaseScan].Ns <= 0 || ph[PhaseScan].Allocs == 0 {
 			t.Errorf("%s: scan phase %+v, want the allocator's span", p.Name, ph[PhaseScan])
 		}
-		for _, unmarked := range []Phase{PhaseCFG, PhaseDataflow, PhaseLifetime, PhaseMoves} {
+		if ph[PhaseDataflow].Ns <= 0 {
+			t.Errorf("%s: dataflow phase %+v, want DCE's liveness solves", p.Name, ph[PhaseDataflow])
+		}
+		for _, unmarked := range []Phase{PhaseCFG, PhaseLifetime, PhaseMoves} {
 			if ph[unmarked] != (PhaseSample{}) {
 				t.Errorf("%s: phase %s charged %+v by an allocator that marks nothing", p.Name, unmarked, ph[unmarked])
 			}

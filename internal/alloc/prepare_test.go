@@ -48,7 +48,7 @@ func diffLiveness(p *ir.Proc, got, want *dataflow.Liveness) string {
 
 // TestPrepareHandsOverLiveness checks the hand-over the pipeline relies
 // on: over the golden corpus, the liveness Prepare returns from one
-// shared DCE scratch equals a fresh computation on the procedure as the
+// shared Scratch equals a fresh computation on the procedure as the
 // allocator sees it, after its own Renumber and loop-depth analysis.
 func TestPrepareHandsOverLiveness(t *testing.T) {
 	for _, machName := range []string{"alpha", "x86-8", "tiny:4,2"} {
@@ -56,11 +56,11 @@ func TestPrepareHandsOverLiveness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var dce opt.Scratch
+		var sc Scratch
 		names, ps := progs.GoldenCorpus(mach)
 		for i, prog := range ps {
 			for _, orig := range prog.Procs {
-				p, lv := Prepare(orig, &dce, nil, nil)
+				p, lv := Prepare(orig, &sc, nil)
 				p.Renumber()
 				cfg.ComputeLoopDepths(p)
 				if d := diffLiveness(p, lv, dataflow.Compute(p)); d != "" {

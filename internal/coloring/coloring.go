@@ -34,6 +34,7 @@ type Allocator struct {
 	mach *target.Machine
 	// MaxRounds bounds build/color iterations (default 32).
 	MaxRounds int
+	saves     alloc.CalleeSaves
 }
 
 // New returns a coloring allocator for the machine.
@@ -57,7 +58,6 @@ func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer)
 	tm.Mark(&res.Stats, alloc.PhaseOther)
 	cfg.ComputeLoopDepths(p)
 	tm.Mark(&res.Stats, alloc.PhaseCFG)
-	tm.Mark(&res.Stats, alloc.PhaseDataflow)
 
 	start := time.Now()
 	res.Stats.Candidates = p.NumTemps()
@@ -79,7 +79,7 @@ func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer)
 		}
 	}
 	tm.Mark(&res.Stats, alloc.PhaseScan)
-	res.Stats.UsedCalleeSaved = alloc.InsertCalleeSaves(p, a.mach, usedCallee)
+	res.Stats.UsedCalleeSaved = a.saves.Insert(p, a.mach, usedCallee)
 	res.Stats.AllocTime = time.Since(start)
 	res.Stats.SpilledTemps = frame.NumSpilled()
 	p.Renumber()

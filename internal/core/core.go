@@ -85,15 +85,17 @@ func DefaultOptions() Options {
 // scratch buffers — for lifetime construction and the scan itself —
 // that are reused across Allocate calls, so one Allocator must not run
 // concurrent allocations; use one instance per goroutine (the engine's
-// worker pool does exactly that). In steady state, repeated allocation
-// through one instance performs near-zero heap allocation beyond the
-// rewritten procedure itself.
+// worker pool does exactly that). The rewritten procedure's code lives
+// in the same scratch until the next Allocate, so in steady state
+// repeated allocation through one instance performs near-zero heap
+// allocation.
 type Allocator struct {
 	mach    *target.Machine
 	opts    Options
 	scratch scanScratch
 	ltsc    lifetime.Scratch
 	rbsc    lifetime.RegScratch
+	saves   alloc.CalleeSaves
 }
 
 // New returns an allocator for the machine with the given options.
@@ -128,7 +130,6 @@ func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer)
 	// allocators, §3.2).
 	cfg.ComputeLoopDepths(p)
 	tm.Mark(st, alloc.PhaseCFG)
-	tm.Mark(st, alloc.PhaseDataflow)
 
 	start := time.Now()
 	lt := a.ltsc.Compute(p, lv)
@@ -159,7 +160,7 @@ func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer)
 		}
 		tm.Mark(st, alloc.PhaseScan)
 	}
-	st.UsedCalleeSaved = alloc.InsertCalleeSaves(p, a.mach, usedCallee)
+	st.UsedCalleeSaved = a.saves.Insert(p, a.mach, usedCallee)
 	st.AllocTime = time.Since(start)
 	st.SpilledTemps = frame.NumSpilled()
 	frame.Release() // the pooled frame must not pin p past this run

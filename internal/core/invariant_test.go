@@ -109,7 +109,7 @@ func TestScanBoundaryInvariants(t *testing.T) {
 		var sc scanScratch // shared, as on one pooled Allocator
 		for name, prog := range invariantCorpus(mach) {
 			for _, orig := range prog.Procs {
-				p, lv := alloc.Prepare(orig, nil, nil, &alloc.Stats{})
+				p, lv := alloc.Prepare(orig, nil, &alloc.Stats{})
 				p.Renumber()
 				cfg.ComputeLoopDepths(p)
 				s := newScan(p, mach, opts, lv, lifetime.Compute(p, lv), lifetime.ComputeRegBusy(p, mach), &sc)

@@ -31,12 +31,12 @@ var resolveTags = moves.Tags{Load: ir.TagResolveLoad, Store: ir.TagResolveStore,
 // the path does not provide.
 //
 // The repair code of every edge goes to pooled buffers first; then the
-// final procedure is written once, into one exact-size instruction arena
-// (and one operand arena for the repair code): each block's rewritten
-// body with its top and bottom repair code. Every block gets a
-// full-capacity sub-slice, so a later append (callee-save code) copies
-// out instead of overwriting the next block. sc supplies the pooled
-// working storage.
+// final procedure is written once, into the pooled instruction buffer
+// sc.final: each block's rewritten body with its top and bottom repair
+// code. The repair code's operands stay in the sequencer's arena, like
+// the scan's spill code. Every block gets a full-capacity sub-slice, so
+// a later append (callee-save code) copies out instead of overwriting
+// the next block. sc supplies the pooled working storage.
 func (s *scan) resolve(sc *scanScratch) {
 	ng := s.lv.NumGlobals()
 
@@ -55,7 +55,6 @@ func (s *scan) resolve(sc *scanScratch) {
 	sc.botLoc = filled(sc.botLoc, ng, target.NoReg)
 	sc.topLoc = filled(sc.topLoc, ng, target.NoReg)
 	sc.visitBits = grow(sc.visitBits, (ng+63)/64)
-	sc.seq.Reset()
 	scratchReg := s.edgeScratch(sc)
 	slotFor := s.frame.SlotOf
 
@@ -80,7 +79,6 @@ func (s *scan) resolve(sc *scanScratch) {
 	sc.topFix = filled(sc.topFix, nb, -1)
 	sc.botFix = filled(sc.botFix, nb, -1)
 	splits := sc.splitFix[:0]
-	nInstrs, nOps := 0, 0
 	for i, f := range fixes {
 		switch {
 		case len(f.pred.Succs) == 1:
@@ -91,42 +89,40 @@ func (s *scan) resolve(sc *scanScratch) {
 			sp := s.p.SplitEdge(f.pred, f.succ)
 			sp.Depth = min(f.pred.Depth, f.succ.Depth)
 			splits = append(splits, int32(i))
-			nInstrs += len(sp.Instrs)
 		}
-		for _, in := range code[f.lo:f.hi] {
-			nOps += len(in.Defs) + len(in.Uses)
-		}
-		nInstrs += int(f.hi - f.lo)
-	}
-	for _, b := range blocks {
-		nInstrs += int(s.body[b.Order].hi - s.body[b.Order].lo)
 	}
 
-	// Write the final procedure.
-	w := arenaWriter{instrs: make([]ir.Instr, nInstrs), ops: make([]ir.Operand, nOps)}
+	// Write the final procedure: every rewritten instruction, every
+	// repair and every split block's jump, once each.
+	if n := len(s.out) + len(code) + len(splits); cap(sc.final) < n {
+		sc.final = make([]ir.Instr, 0, n)
+	}
+	final := sc.final[:0]
+	repair := func(i int32) { final = append(final, code[fixes[i].lo:fixes[i].hi]...) }
 	for _, b := range blocks {
-		start := w.n
+		start := len(final)
 		if i := sc.topFix[b.Order]; i >= 0 {
-			w.repair(code[fixes[i].lo:fixes[i].hi])
+			repair(i)
 		}
 		body := s.out[s.body[b.Order].lo:s.body[b.Order].hi]
 		if i := sc.botFix[b.Order]; i >= 0 {
 			n := len(body)
-			w.body(body[:n-1])
-			w.repair(code[fixes[i].lo:fixes[i].hi])
-			w.body(body[n-1:])
+			final = append(final, body[:n-1]...)
+			repair(i)
+			final = append(final, body[n-1])
 		} else {
-			w.body(body)
+			final = append(final, body...)
 		}
-		b.Instrs = w.instrs[start:w.n:w.n]
+		b.Instrs = final[start:len(final):len(final)]
 	}
 	for k, i := range splits {
 		sp := s.p.Blocks[nb+k]
-		start := w.n
-		w.repair(code[fixes[i].lo:fixes[i].hi])
-		w.body(sp.Instrs)
-		sp.Instrs = w.instrs[start:w.n:w.n]
+		start := len(final)
+		repair(i)
+		final = append(final, sp.Instrs...)
+		sp.Instrs = final[start:len(final):len(final)]
 	}
+	sc.final = final
 
 	// Return the pooled buffers with their references dropped, so they
 	// do not retain the procedure's blocks.
@@ -134,37 +130,6 @@ func (s *scan) resolve(sc *scanScratch) {
 	sc.fixes = fixes[:0]
 	sc.code = code[:0]
 	sc.splitFix = splits[:0]
-}
-
-// arenaWriter fills the final procedure's instruction arena in order.
-type arenaWriter struct {
-	instrs []ir.Instr
-	ops    []ir.Operand
-	n      int
-}
-
-// body appends rewritten instructions as they are.
-func (w *arenaWriter) body(ins []ir.Instr) { w.n += copy(w.instrs[w.n:], ins) }
-
-// repair appends repair code, moving its operands out of the pooled
-// sequencer arena into the procedure's own.
-func (w *arenaWriter) repair(ins []ir.Instr) {
-	for _, in := range ins {
-		in.Defs = w.take(in.Defs)
-		in.Uses = w.take(in.Uses)
-		w.instrs[w.n] = in
-		w.n++
-	}
-}
-
-func (w *arenaWriter) take(o []ir.Operand) []ir.Operand {
-	if len(o) == 0 {
-		return o
-	}
-	n := copy(w.ops, o)
-	d := w.ops[:n:n]
-	w.ops = w.ops[n:]
-	return d
 }
 
 // resolveEdge appends the repair code for edge pb→sb to code. It visits

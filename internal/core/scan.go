@@ -25,7 +25,10 @@ import (
 // the globals (consBits), updated wherever the scan writes loc or
 // consistent of a global, so saving it at a block's bottom copies words.
 // The rewritten blocks go to one pooled buffer (out); resolution writes
-// the final procedure from it.
+// the final procedure from it into another (final). Everything the
+// rewritten procedure points to — those buffers, the Orig side tables,
+// the operands of spill and repair code — is pooled in scanScratch until
+// the next allocation.
 type scan struct {
 	p    *ir.Proc
 	mach *target.Machine
@@ -69,11 +72,11 @@ type scan struct {
 	dbuf []ir.Temp
 
 	// origArena backs every instruction's OrigUses/OrigDefs side table.
-	// It is retained by the rewritten procedure, so unlike the scratch
-	// arrays it is allocated fresh per procedure — but exactly once,
-	// instead of twice per instruction.
 	origArena []ir.Temp
 	origN     int
+	// seq carves the operands of spill code (and, in resolution, of
+	// repair code) from its arena.
+	seq *moves.Sequencer
 
 	consSolver *dataflow.SolverScratch
 }
@@ -107,6 +110,8 @@ type scanScratch struct {
 	top, bot   []span
 	body       []span
 	out        []ir.Instr
+	origs      []ir.Temp
+	final      []ir.Instr // the resolved procedure's instructions
 	blockSets  bitset.Slab
 	savedCons  []*bitset.Set
 	wrote      []*bitset.Set
@@ -174,8 +179,8 @@ func newScan(p *ir.Proc, mach *target.Machine, opts Options, lv *dataflow.Livene
 	sc.consBits.Reset(ng)
 	sc.consBits.Fill()
 
-	// The Orig side tables are retained by the result: allocate the
-	// arena fresh, sized by the total operand count.
+	// The Orig side tables come from one arena sized by the total
+	// operand count.
 	nOps, nInstrs := 0, 0
 	for _, b := range p.Blocks {
 		nInstrs += len(b.Instrs)
@@ -186,6 +191,8 @@ func newScan(p *ir.Proc, mach *target.Machine, opts Options, lv *dataflow.Livene
 	if cap(sc.out) < nInstrs {
 		sc.out = make([]ir.Instr, 0, nInstrs+nInstrs/4)
 	}
+	sc.origs = scratch.Grow(sc.origs, nOps)
+	sc.seq.Reset()
 
 	s := &scan{
 		p: p, mach: mach, opts: opts, lv: lv, lt: lt, rb: rb,
@@ -211,7 +218,8 @@ func newScan(p *ir.Proc, mach *target.Machine, opts Options, lv *dataflow.Livene
 		out:        sc.out[:0],
 		ubuf:       sc.ubuf[:0],
 		dbuf:       sc.dbuf[:0],
-		origArena:  make([]ir.Temp, nOps),
+		origArena:  sc.origs,
+		seq:        &sc.seq,
 		consSolver: &sc.consSolver,
 	}
 	for i := range s.loc {
@@ -240,7 +248,7 @@ func (s *scan) release(sc *scanScratch) {
 }
 
 // takeOrig carves an all-NoTemp side table of n entries from the
-// per-procedure arena.
+// procedure's arena.
 func (s *scan) takeOrig(n int) []ir.Temp {
 	a := s.origArena[s.origN : s.origN+n : s.origN+n]
 	s.origN += n
@@ -384,9 +392,9 @@ func (s *scan) unpinAll() {
 }
 
 // instr allocates and rewrites a single instruction. The procedure is
-// the allocator's private copy, so operands are rewritten in place and
-// the Orig side tables come from the per-procedure arena — the
-// instruction costs no allocations of its own.
+// the pipeline's working copy, so operands are rewritten in place and
+// the Orig side tables come from the pooled arena — the instruction
+// costs no allocations of its own.
 func (s *scan) instr(in *ir.Instr) error {
 	pos := in.Pos
 
@@ -635,12 +643,14 @@ func (s *scan) ensure(t ir.Temp, pos int32, withLoad bool) (target.Reg, error) {
 	s.loc[t] = r
 	s.noteReg(r)
 	if withLoad {
+		ops := s.seq.Operands(2)
+		ops[0], ops[1] = ir.RegOp(r), ir.SlotOp(s.frame.SlotOf(t), t)
 		s.out = append(s.out, ir.Instr{
 			Op:   ir.SpillLd,
 			Tag:  ir.TagScanLoad,
 			Pos:  pos,
-			Defs: []ir.Operand{ir.RegOp(r)},
-			Uses: []ir.Operand{ir.SlotOp(s.frame.SlotOf(t), t)},
+			Defs: ops[:1:1],
+			Uses: ops[1:],
 		})
 		s.consistent[t] = true
 		s.setLocal(t)
@@ -850,12 +860,14 @@ func (s *scan) evict(u ir.Temp, pos int32) {
 			if s.p.TempClass(u) == target.ClassFloat {
 				op = ir.FMov
 			}
+			ops := s.seq.Operands(2)
+			ops[0], ops[1] = ir.RegOp(rs), ir.RegOp(r)
 			s.out = append(s.out, ir.Instr{
 				Op:   op,
 				Tag:  ir.TagScanMove,
 				Pos:  pos,
-				Defs: []ir.Operand{ir.RegOp(rs)},
-				Uses: []ir.Operand{ir.RegOp(r)},
+				Defs: ops[:1:1],
+				Uses: ops[1:],
 			})
 			s.regOcc[rs] = u
 			s.loc[u] = rs
@@ -863,11 +875,13 @@ func (s *scan) evict(u ir.Temp, pos int32) {
 			return // in a register and inconsistent: the bit stays clear
 		}
 	}
+	ops := s.seq.Operands(2)
+	ops[0], ops[1] = ir.RegOp(r), ir.SlotOp(s.frame.SlotOf(u), u)
 	s.out = append(s.out, ir.Instr{
 		Op:   ir.SpillSt,
 		Tag:  ir.TagScanStore,
 		Pos:  pos,
-		Uses: []ir.Operand{ir.RegOp(r), ir.SlotOp(s.frame.SlotOf(u), u)},
+		Uses: ops,
 	})
 	s.consistent[u] = true
 	s.setLocal(u)

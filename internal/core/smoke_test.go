@@ -105,7 +105,7 @@ func runBoth(t *testing.T, mach *target.Machine, prog *ir.Program, a alloc.Alloc
 		if err := ir.ValidateAllocated(res.Proc, mach); err != nil {
 			t.Fatalf("allocated %s invalid: %v\n%s", p.Name, err, ir.ProcString(res.Proc))
 		}
-		allocd.AddProc(res.Proc)
+		allocd.AddProc(res.Proc.Clone()) // the allocator's scratch holds it until the next proc
 	}
 	got, err := vm.Run(allocd, vm.Config{Mach: mach, Input: input, Paranoid: true})
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	_ "repro/internal/coloring"
 	"repro/internal/ir"
 	_ "repro/internal/linearscan"
-	"repro/internal/opt"
 	"repro/internal/progs"
 	"repro/internal/target"
 	"repro/internal/vm"
@@ -219,7 +218,7 @@ func Table3(mach *target.Machine) ([]Table3Row, error) {
 		best := func(a alloc.Allocator) (time.Duration, alloc.Stats, error) {
 			var bestT time.Duration
 			var stats alloc.Stats
-			var dce opt.Scratch
+			var sc alloc.Scratch
 			pl := alloc.Pipeline{Mach: mach}
 			for rep := 0; rep < 5; rep++ {
 				var total time.Duration
@@ -228,7 +227,7 @@ func Table3(mach *target.Machine) ([]Table3Row, error) {
 					if p.Name == "main" {
 						continue
 					}
-					res, err := pl.Run(a, &dce, p)
+					res, err := pl.Run(a, &sc, p)
 					if err != nil {
 						return 0, agg, err
 					}

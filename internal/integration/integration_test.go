@@ -37,7 +37,9 @@ func allocators(mach *target.Machine) map[string]alloc.Allocator {
 }
 
 // allocateProgram runs one allocator over every procedure of prog,
-// verifying each result, and returns the allocated program.
+// verifying each result, and returns the allocated program. Each result
+// is copied out before the next allocation, as alloc.Pipeline does: the
+// allocator's scratch holds it only until then.
 func allocateProgram(t *testing.T, mach *target.Machine, a alloc.Allocator, prog *ir.Program) *ir.Program {
 	t.Helper()
 	out := ir.NewProgram(prog.MemWords)
@@ -59,7 +61,7 @@ func allocateProgram(t *testing.T, mach *target.Machine, a alloc.Allocator, prog
 		if err := ir.ValidateAllocated(res.Proc, mach); err != nil {
 			t.Fatalf("%s: invalid output for %s: %v", a.Name(), p.Name, err)
 		}
-		out.AddProc(res.Proc)
+		out.AddProc(res.Proc.Clone())
 	}
 	return out
 }

@@ -2,7 +2,9 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/scratch"
 	"repro/internal/target"
 )
 
@@ -104,9 +106,10 @@ func (p *Proc) TempName(t Temp) string {
 	return p.tempName[t]
 }
 
-// NewBlock appends a fresh empty block to the layout order.
+// NewBlock appends a fresh empty block to the layout order. Its Order is
+// its layout index, as Renumber would assign it.
 func (p *Proc) NewBlock(name string) *Block {
-	b := &Block{ID: p.nextBlockID, Name: name}
+	b := &Block{ID: p.nextBlockID, Name: name, Order: len(p.Blocks)}
 	if name == "" {
 		b.Name = fmt.Sprintf("b%d", b.ID)
 	}
@@ -194,86 +197,130 @@ func (p *Proc) NewSlot() int {
 	return s
 }
 
-// Clone returns a deep copy of the procedure. Allocators clone before
-// rewriting so that several allocators can be compared on the same input.
-//
-// The copy is arena-backed: every instruction, operand and orig-temp
-// entry of the clone lives in one backing array per kind, sized by a
-// counting pre-pass, so a clone costs a handful of allocations instead
-// of several per instruction. All sub-slices are carved with full
-// capacity (three-index slicing), so appending to any of them — a block
-// growing spill code, an operand list being extended — copies out
-// instead of clobbering a neighbor.
+// Clone returns a deep copy of the procedure in storage of its own, sized
+// exactly: every block, edge list, instruction, operand and orig-temp
+// entry of the copy lives in one backing array per kind, so a copy costs
+// a handful of allocations instead of several per instruction. The
+// allocation pipeline makes this copy once per procedure, after
+// allocation, out of its pooled working clone (ProcArena); it is the
+// only heap copy the pipeline hands back.
 func (p *Proc) Clone() *Proc {
-	q := &Proc{
-		Name:        p.Name,
-		Params:      append([]Temp(nil), p.Params...),
-		tempClass:   append([]target.Class(nil), p.tempClass...),
-		tempName:    append([]string(nil), p.tempName...),
-		NumSlots:    p.NumSlots,
-		nextBlockID: p.nextBlockID,
-	}
-	nInstr, nOps, nOrig := 0, 0, 0
+	q := new(Proc)
+	var a ProcArena
+	a.copy(q, p)
+	return q
+}
+
+// ProcArena is reusable storage for working copies of procedures, one
+// backing array per node kind in the manner of the binary decoder's
+// arena. Clone and Proc.Clone share one copy routine: the arena keeps
+// its arrays from one copy to the next, Proc.Clone starts from empty
+// ones. The zero value is ready to use; one arena serves one goroutine.
+type ProcArena struct {
+	proc    Proc
+	blocks  []Block
+	ptrs    []*Block // the layout order, then every block's successors and predecessors
+	instrs  []Instr
+	ops     []Operand
+	origs   []Temp
+	params  []Temp
+	classes []target.Class
+	names   []string
+}
+
+// Clone copies p into the arena and returns the copy, which is valid
+// until the arena's next Clone. Every block, instruction list and
+// operand list of the copy is carved with full capacity (three-index
+// slicing), so appending to one — a block growing spill code, an
+// operand list being extended — copies out instead of clobbering a
+// neighbor.
+func (a *ProcArena) Clone(p *Proc) *Proc {
+	a.copy(&a.proc, p)
+	return &a.proc
+}
+
+// copy makes q a deep copy of p in a's arrays, growing them as needed.
+// Edges are mapped through Block.Order, the layout index that NewBlock,
+// Renumber and the binary decoder assign; a block whose Order is stale
+// (one built by hand) is found by a scan of the layout instead.
+func (a *ProcArena) copy(q, p *Proc) {
+	nb, nInstr, nOps, nOrig, nEdges := len(p.Blocks), 0, 0, 0, 0
 	for _, b := range p.Blocks {
 		nInstr += len(b.Instrs)
+		nEdges += len(b.Succs) + len(b.Preds)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			nOps += len(in.Defs) + len(in.Uses)
 			nOrig += len(in.OrigDefs) + len(in.OrigUses)
 		}
 	}
-	instrs := make([]Instr, 0, nInstr)
-	ops := make([]Operand, 0, nOps)
-	origs := make([]Temp, 0, nOrig)
-	takeOps := func(src []Operand) []Operand {
-		if src == nil {
-			return nil
-		}
-		start := len(ops)
-		ops = append(ops, src...)
-		return ops[start:len(ops):len(ops)]
-	}
-	takeOrigs := func(src []Temp) []Temp {
-		if src == nil {
-			return nil
-		}
-		start := len(origs)
-		origs = append(origs, src...)
-		return origs[start:len(origs):len(origs)]
+	a.blocks = scratch.Grow(a.blocks, nb)
+	a.ptrs = scratch.Grow(a.ptrs, nb+nEdges)
+	a.instrs = scratch.Grow(a.instrs, nInstr)
+	a.ops = scratch.Grow(a.ops, nOps)
+	a.origs = scratch.Grow(a.origs, nOrig)
+	a.params = scratch.Grow(a.params, len(p.Params))
+	a.classes = scratch.Grow(a.classes, len(p.tempClass))
+	a.names = scratch.Grow(a.names, len(p.tempName))
+	copy(a.params, p.Params)
+	copy(a.classes, p.tempClass)
+	copy(a.names, p.tempName)
+	*q = Proc{
+		Name:        p.Name,
+		Blocks:      a.ptrs[:nb:nb],
+		Params:      a.params,
+		tempClass:   a.classes,
+		tempName:    a.names,
+		NumSlots:    p.NumSlots,
+		nextBlockID: p.nextBlockID,
 	}
 
-	old2new := make(map[*Block]*Block, len(p.Blocks))
-	q.Blocks = make([]*Block, 0, len(p.Blocks))
-	blocks := make([]Block, len(p.Blocks))
+	instrs, ops, origs, edges := a.instrs, a.ops, a.origs, a.ptrs[nb:]
 	for bi, b := range p.Blocks {
-		nb := &blocks[bi]
-		nb.ID = b.ID
-		nb.Name = b.Name
-		nb.Order = b.Order
-		nb.Depth = b.Depth
-		start := len(instrs)
-		instrs = append(instrs, b.Instrs...)
-		nb.Instrs = instrs[start:len(instrs):len(instrs)]
+		nb := &a.blocks[bi]
+		*nb = Block{ID: b.ID, Name: b.Name, Order: b.Order, Depth: b.Depth}
+		nb.Instrs, instrs = carve(instrs, b.Instrs)
 		for i := range nb.Instrs {
 			ni := &nb.Instrs[i]
-			ni.Defs = takeOps(ni.Defs)
-			ni.Uses = takeOps(ni.Uses)
-			ni.OrigUses = takeOrigs(ni.OrigUses)
-			ni.OrigDefs = takeOrigs(ni.OrigDefs)
+			ni.Defs, ops = carve(ops, ni.Defs)
+			ni.Uses, ops = carve(ops, ni.Uses)
+			ni.OrigUses, origs = carve(origs, ni.OrigUses)
+			ni.OrigDefs, origs = carve(origs, ni.OrigDefs)
 		}
-		old2new[b] = nb
-		q.Blocks = append(q.Blocks, nb)
+		nb.Succs, edges = a.mapEdges(edges, b.Succs, p)
+		nb.Preds, edges = a.mapEdges(edges, b.Preds, p)
+		q.Blocks[bi] = nb
 	}
-	for _, b := range p.Blocks {
-		nb := old2new[b]
-		for _, s := range b.Succs {
-			nb.Succs = append(nb.Succs, old2new[s])
+}
+
+// carve copies src to the front of buf and returns the copy, with full
+// capacity, and the rest of buf. A nil src stays nil.
+func carve[T any](buf, src []T) (dst, rest []T) {
+	if src == nil {
+		return nil, buf
+	}
+	n := copy(buf, src)
+	return buf[:n:n], buf[n:]
+}
+
+// mapEdges writes the copies of the blocks in src to the front of buf
+// and returns them, with full capacity, and the rest of buf.
+func (a *ProcArena) mapEdges(buf, src []*Block, p *Proc) (dst, rest []*Block) {
+	if src == nil {
+		return nil, buf
+	}
+	for i, b := range src {
+		j := b.Order
+		if j < 0 || j >= len(p.Blocks) || p.Blocks[j] != b {
+			j = slices.Index(p.Blocks, b)
 		}
-		for _, pr := range b.Preds {
-			nb.Preds = append(nb.Preds, old2new[pr])
+		buf[i] = nil
+		if j >= 0 {
+			buf[i] = &a.blocks[j]
 		}
 	}
-	return q
+	n := len(src)
+	return buf[:n:n], buf[n:]
 }
 
 // Program is a set of procedures plus the global memory image and the

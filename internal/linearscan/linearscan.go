@@ -29,7 +29,8 @@ import (
 
 // Allocator is the Poletto-style linear-scan allocator.
 type Allocator struct {
-	mach *target.Machine
+	mach  *target.Machine
+	saves alloc.CalleeSaves
 }
 
 // New returns a linear-scan allocator for the machine.
@@ -59,7 +60,6 @@ func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer)
 	tm.Mark(&res.Stats, alloc.PhaseOther)
 	cfg.ComputeLoopDepths(p)
 	tm.Mark(&res.Stats, alloc.PhaseCFG)
-	tm.Mark(&res.Stats, alloc.PhaseDataflow)
 
 	start := time.Now()
 	lt := lifetime.Compute(p, lv)
@@ -150,7 +150,7 @@ func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer)
 	frame := alloc.NewFrame(p)
 	alloc.RewriteAssigned(p, a.mach, asn, frame, scratch, usedCallee)
 	tm.Mark(&res.Stats, alloc.PhaseMoves)
-	res.Stats.UsedCalleeSaved = alloc.InsertCalleeSaves(p, a.mach, usedCallee)
+	res.Stats.UsedCalleeSaved = a.saves.Insert(p, a.mach, usedCallee)
 	res.Stats.AllocTime = time.Since(start)
 	res.Stats.SpilledTemps = frame.NumSpilled()
 	p.Renumber()

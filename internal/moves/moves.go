@@ -14,6 +14,7 @@ package moves
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/target"
@@ -85,7 +86,13 @@ type Sequencer struct {
 	regs, slots []locEntry // indexed by register and slot number
 	epoch       uint32     // entries of older epochs read as empty
 	pending     []Transfer
-	ops         []ir.Operand
+	// The operand arena is a list of chunks kept across Resets, so it
+	// stops allocating once it has held the largest procedure's
+	// operands; ops is the chunk being carved, and next the index of the
+	// chunk after it.
+	chunks [][]ir.Operand
+	ops    []ir.Operand
+	next   int
 }
 
 // locEntry is one location's bookkeeping within a Sequence call.
@@ -95,11 +102,11 @@ type locEntry struct {
 	dst   bool  // some transfer writes the location
 }
 
-// Reset empties the operand arena. Operands of instructions emitted
-// before the call are reused afterwards, so the caller must have copied
-// them out (resolution copies each procedure's repair code into the
-// procedure's own storage before sequencing the next one).
-func (sq *Sequencer) Reset() { sq.ops = sq.ops[:0] }
+// Reset empties the operand arena. Operands carved before the call are
+// reused afterwards, so the caller must be done with them (the
+// allocation pipeline copies each procedure out before allocating the
+// next one, and binpacking resets once per procedure).
+func (sq *Sequencer) Reset() { sq.ops, sq.next = nil, 0 }
 
 // entry returns l's bookkeeping for the current call, growing the dense
 // tables on demand and clearing an entry left by an earlier call.
@@ -118,12 +125,19 @@ func (sq *Sequencer) entry(l Loc) *locEntry {
 	return e
 }
 
-// operands carves n operands from the arena. A full arena is replaced,
-// not grown, so operands carved earlier stay where they are.
-func (sq *Sequencer) operands(n int) []ir.Operand {
+// Operands carves n operands, with full capacity, from the arena. A
+// full chunk is followed by the next one, allocated (twice as large) the
+// first time it is needed, so operands carved earlier stay where they
+// are until the next Reset.
+func (sq *Sequencer) Operands(n int) []ir.Operand {
 	k := len(sq.ops)
 	if k+n > cap(sq.ops) {
-		sq.ops = make([]ir.Operand, 0, max(2*cap(sq.ops), 64))
+		if sq.next == len(sq.chunks) || cap(sq.chunks[sq.next]) < n {
+			chunk := make([]ir.Operand, max(2*cap(sq.ops), 64, n))
+			sq.chunks = slices.Insert(sq.chunks, sq.next, chunk)
+		}
+		sq.ops = sq.chunks[sq.next][:0]
+		sq.next++
 		k = 0
 	}
 	sq.ops = sq.ops[:k+n]
@@ -207,11 +221,11 @@ func (sq *Sequencer) Sequence(out []ir.Instr, ts []Transfer, scratch ScratchFunc
 func (sq *Sequencer) emit(out []ir.Instr, t Transfer, tags Tags) []ir.Instr {
 	switch {
 	case t.Src.Kind == LocSlot && t.Dst.Kind == LocReg:
-		ops := sq.operands(2)
+		ops := sq.Operands(2)
 		ops[0], ops[1] = ir.RegOp(t.Dst.Reg), ir.SlotOp(t.Src.Slot, t.Temp)
 		return append(out, ir.Instr{Op: ir.SpillLd, Tag: tags.Load, Defs: ops[:1:1], Uses: ops[1:]})
 	case t.Src.Kind == LocReg && t.Dst.Kind == LocSlot:
-		ops := sq.operands(2)
+		ops := sq.Operands(2)
 		ops[0], ops[1] = ir.RegOp(t.Src.Reg), ir.SlotOp(t.Dst.Slot, t.Temp)
 		return append(out, ir.Instr{Op: ir.SpillSt, Tag: tags.Store, Uses: ops})
 	case t.Src.Kind == LocReg && t.Dst.Kind == LocReg:
@@ -219,7 +233,7 @@ func (sq *Sequencer) emit(out []ir.Instr, t Transfer, tags Tags) []ir.Instr {
 		if t.Class == target.ClassFloat {
 			op = ir.FMov
 		}
-		ops := sq.operands(2)
+		ops := sq.Operands(2)
 		ops[0], ops[1] = ir.RegOp(t.Dst.Reg), ir.RegOp(t.Src.Reg)
 		return append(out, ir.Instr{Op: op, Tag: tags.Move, Defs: ops[:1:1], Uses: ops[1:]})
 	default:

@@ -36,18 +36,27 @@ type Scratch struct {
 // It returns the number of instructions removed and the liveness of the
 // last round. That round changed nothing, so the liveness is exactly
 // that of p as DeadCodeElim leaves it (renumbered): the pipeline hands it
-// to the allocator instead of computing it again.
+// to the allocator instead of computing it again. The pipeline drives
+// the same rounds itself (Liveness, then RemoveDead) to time the two
+// halves apart.
 func (sc *Scratch) DeadCodeElim(p *ir.Proc) (int, *dataflow.Liveness) {
 	removed := 0
 	for {
-		p.Renumber()
-		lv := sc.df.Compute(p)
-		n := sc.removeDead(p, lv)
+		lv := sc.Liveness(p)
+		n := sc.RemoveDead(p, lv)
 		removed += n
 		if n == 0 {
 			return removed, lv
 		}
 	}
+}
+
+// Liveness renumbers p and solves its liveness: the first half of one
+// dead-code elimination round. The result is owned by the scratch and
+// valid until its next use.
+func (sc *Scratch) Liveness(p *ir.Proc) *dataflow.Liveness {
+	p.Renumber()
+	return sc.df.Compute(p)
 }
 
 // DeadCodeElim is Scratch.DeadCodeElim with throwaway storage, returning
@@ -57,10 +66,12 @@ func DeadCodeElim(p *ir.Proc) int {
 	return n
 }
 
-// removeDead makes one backward pass over each block, with lv's live-out
-// set as the block's exit state, and deletes the removable instructions
-// whose results are dead where they are written.
-func (sc *Scratch) removeDead(p *ir.Proc, lv *dataflow.Liveness) int {
+// RemoveDead is the second half of one dead-code elimination round: it
+// makes one backward pass over each block, with lv (p's liveness, from
+// Liveness) giving each block's exit state, deletes the removable
+// instructions whose results are dead where they are written, and
+// returns how many it deleted.
+func (sc *Scratch) RemoveDead(p *ir.Proc, lv *dataflow.Liveness) int {
 	removed := 0
 	sc.live = scratch.GrowCleared(sc.live, p.NumTemps())
 	live := sc.live

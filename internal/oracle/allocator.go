@@ -20,6 +20,7 @@ type Allocator struct {
 	mach    *target.Machine
 	lim     Limits
 	profile *Profile
+	saves   alloc.CalleeSaves
 }
 
 // New returns an oracle allocator with DefaultLimits and static
@@ -63,7 +64,7 @@ func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer)
 	frame := alloc.NewFrame(p)
 	alloc.RewriteAssigned(p, a.mach, asn, frame, alloc.PickScratch(a.mach), usedCallee)
 	tm.Mark(&res.Stats, alloc.PhaseMoves)
-	res.Stats.UsedCalleeSaved = alloc.InsertCalleeSaves(p, a.mach, usedCallee)
+	res.Stats.UsedCalleeSaved = a.saves.Insert(p, a.mach, usedCallee)
 	res.Stats.AllocTime = time.Since(start)
 	res.Stats.SpilledTemps = frame.NumSpilled()
 	p.Renumber()

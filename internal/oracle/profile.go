@@ -3,7 +3,6 @@ package oracle
 import (
 	"repro/internal/alloc"
 	"repro/internal/ir"
-	"repro/internal/opt"
 	"repro/internal/target"
 	"repro/internal/vm"
 )
@@ -66,9 +65,9 @@ func (pf *Profile) FreqFunc(proc string) func(*ir.Block) int64 {
 // cost is then only an upper bound (the best incumbent found).
 func OptimalCost(prog *ir.Program, mach *target.Machine, pf *Profile, lim Limits) (cost int64, proven bool) {
 	proven = true
-	var dce opt.Scratch
+	var sc alloc.Scratch
 	for _, p := range prog.Procs {
-		in, lv := alloc.Prepare(p, &dce, nil, nil)
+		in, lv := alloc.Prepare(p, &sc, nil)
 		plan := planProc(in, lv, mach, pf.FreqFunc(p.Name), lim)
 		cost += plan.Cost
 		if !plan.Proven {

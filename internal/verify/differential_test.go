@@ -28,7 +28,9 @@ type allocated struct {
 }
 
 // allocate runs the allocator named algo over every procedure of prog
-// the way alloc.Pipeline does up to verification (clone, DCE, allocate).
+// the way alloc.Pipeline does up to verification (clone, DCE, allocate),
+// and copies each result out before the next allocation reuses the
+// allocator's scratch.
 func allocate(t testing.TB, name string, prog *ir.Program, mach *target.Machine, algo string) []allocated {
 	a, err := experiments.Resolve(algo, mach)
 	if err != nil {
@@ -36,12 +38,12 @@ func allocate(t testing.TB, name string, prog *ir.Program, mach *target.Machine,
 	}
 	var out []allocated
 	for _, p := range prog.Procs {
-		in, lv := alloc.Prepare(p, nil, nil, nil)
+		in, lv := alloc.Prepare(p, nil, nil)
 		res, err := a.Allocate(in, lv, nil)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, p.Name, err)
 		}
-		out = append(out, allocated{fmt.Sprintf("%s/%s/%s/%s", algo, mach.Name, name, p.Name), res.Proc, mach})
+		out = append(out, allocated{fmt.Sprintf("%s/%s/%s/%s", algo, mach.Name, name, p.Name), res.Proc.Clone(), mach})
 	}
 	return out
 }

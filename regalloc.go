@@ -27,10 +27,12 @@
 // Allocators are pluggable: Register adds a named factory and
 // WithAlgorithm selects it; Algorithms lists what is available. Every
 // allocator, built in or registered, meets one contract,
-// Allocator.Allocate(p, lv, tm): the engine clones each procedure once
-// and runs dead-code elimination on the clone, and the allocator
-// rewrites that clone in place, using the liveness lv that elimination
-// left behind and marking its phases on the pipeline's Timer tm.
+// Allocator.Allocate(p, lv, tm): the engine clones each procedure once,
+// into a worker's pooled arena, and runs dead-code elimination on the
+// clone, and the allocator rewrites that clone in place, using the
+// liveness lv that elimination left behind and marking its phases on
+// the pipeline's Timer tm. The engine then copies the result out once,
+// so no output shares storage with a worker.
 package regalloc
 
 import (
