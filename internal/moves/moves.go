@@ -14,7 +14,6 @@ package moves
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/target"
@@ -125,16 +124,15 @@ func (sq *Sequencer) entry(l Loc) *locEntry {
 	return e
 }
 
-// Operands carves n operands, with full capacity, from the arena. A
-// full chunk is followed by the next one, allocated (twice as large) the
-// first time it is needed, so operands carved earlier stay where they
-// are until the next Reset.
+// Operands carves n operands (at most 64), with full capacity, from the
+// arena. A full chunk is followed by the next one, allocated (twice as
+// large) the first time it is needed, so operands carved earlier stay
+// where they are until the next Reset.
 func (sq *Sequencer) Operands(n int) []ir.Operand {
 	k := len(sq.ops)
 	if k+n > cap(sq.ops) {
-		if sq.next == len(sq.chunks) || cap(sq.chunks[sq.next]) < n {
-			chunk := make([]ir.Operand, max(2*cap(sq.ops), 64, n))
-			sq.chunks = slices.Insert(sq.chunks, sq.next, chunk)
+		if sq.next == len(sq.chunks) {
+			sq.chunks = append(sq.chunks, make([]ir.Operand, max(2*cap(sq.ops), 64)))
 		}
 		sq.ops = sq.chunks[sq.next][:0]
 		sq.next++
