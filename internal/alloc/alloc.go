@@ -192,6 +192,8 @@ func (cs *CalleeSaves) Insert(p *ir.Proc, mach *target.Machine, used []bool) int
 	}
 	cs.regs = regs
 	if len(regs) == 0 {
+		clear(cs.instrs) // an earlier procedure's code
+		cs.instrs = cs.instrs[:0]
 		return 0
 	}
 	cs.slots = scratch.Grow(cs.slots, len(regs))
@@ -245,6 +247,9 @@ func (cs *CalleeSaves) Insert(p *ir.Proc, mach *target.Machine, used []bool) int
 		}
 		code = append(code, *t)
 		b.Instrs = carve(start)
+	}
+	if len(code) < len(cs.instrs) {
+		clear(cs.instrs[len(code):]) // a larger earlier procedure's code
 	}
 	cs.instrs = code
 	return len(regs)

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/dataflow"
 	"repro/internal/ir"
@@ -46,9 +47,10 @@ type Scratch struct {
 
 // Prepare is the pipeline's pre-allocation step: it clones p into sc's
 // arena, so the input is never modified, and runs dead-code elimination
-// on the clone. It returns the clone and its liveness, which the last
-// round of dead-code elimination computed on exactly the clone; both are
-// valid until sc's next use. A nil sc uses throwaway storage. The clone
+// on the clone, round after round of opt.Scratch's Liveness and
+// RemoveDead until one removes nothing. It returns the clone and its
+// liveness, which that last round computed on exactly the clone; both
+// are valid until sc's next use. A nil sc uses throwaway storage. The clone
 // is charged to PhaseOther, each liveness solve to PhaseDataflow and
 // each removal pass to PhaseOpt in st (nil for none), on sc's timer.
 func Prepare(p *ir.Proc, sc *Scratch, st *Stats) (*ir.Proc, *dataflow.Liveness) {
@@ -116,6 +118,11 @@ func (pl Pipeline) Run(a Allocator, sc *Scratch, p *ir.Proc) (*Result, error) {
 	return res, nil
 }
 
+// programScratch recycles the Scratch of Program calls, so callers that
+// allocate one program at a time (the experiment harness, the
+// conformance grids) do not build a clone arena per program.
+var programScratch = sync.Pool{New: func() any { return new(Scratch) }}
+
 // Program runs the pipeline over every procedure of prog in order with
 // one allocator instance and one Scratch, and returns the allocated
 // program plus the aggregate statistics. The input program is not
@@ -123,9 +130,10 @@ func (pl Pipeline) Run(a Allocator, sc *Scratch, p *ir.Proc) (*Result, error) {
 func (pl Pipeline) Program(a Allocator, prog *ir.Program) (*ir.Program, Stats, error) {
 	results := make([]*Result, len(prog.Procs))
 	var agg Stats
-	var sc Scratch
+	sc := programScratch.Get().(*Scratch)
+	defer programScratch.Put(sc)
 	for i, p := range prog.Procs {
-		res, err := pl.Run(a, &sc, p)
+		res, err := pl.Run(a, sc, p)
 		if err != nil {
 			return nil, agg, fmt.Errorf("%s: %s: %w", a.Name(), p.Name, err)
 		}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
-	"repro/internal/opt"
 	"repro/internal/progs"
 	"repro/internal/target"
 )
@@ -71,11 +70,12 @@ func TestPrepareHandsOverLiveness(t *testing.T) {
 	}
 }
 
-// TestDCEScratchReuse runs dead-code elimination on one scratch over
-// procedures of very different sizes, large ones that lose code among
-// them, and checks every result against fresh storage: the printed
-// procedure, the removed count and the liveness. Stale live, keep or
-// index state left by a larger procedure would show here.
+// TestDCEScratchReuse runs Prepare, the clone and dead-code elimination,
+// on one scratch over procedures of very different sizes, large ones
+// that lose code among them, and checks every result against fresh
+// storage: the printed procedure, the removed count and the liveness.
+// Stale clone, live, keep or index state left by a larger procedure
+// would show here.
 func TestDCEScratchReuse(t *testing.T) {
 	mach := target.Alpha()
 	hp, err := progs.ProfileGen("high-pressure", 3)
@@ -101,12 +101,12 @@ func TestDCEScratchReuse(t *testing.T) {
 		pr.WriteProc(&sb, p)
 		return sb.String()
 	}
-	var shared opt.Scratch
+	var shared Scratch
 	lost := 0
 	for i, orig := range seq {
-		got, want := orig.Clone(), orig.Clone()
-		n, lv := shared.DeadCodeElim(got)
-		wantN, wantLv := new(opt.Scratch).DeadCodeElim(want)
+		got, lv := Prepare(orig, &shared, nil)
+		want, wantLv := Prepare(orig, new(Scratch), nil)
+		n, wantN := orig.NumInstrs()-got.NumInstrs(), orig.NumInstrs()-want.NumInstrs()
 		if n != wantN {
 			t.Fatalf("proc %d (%s): shared scratch removed %d, fresh %d", i, orig.Name, n, wantN)
 		}

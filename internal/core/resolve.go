@@ -122,6 +122,11 @@ func (s *scan) resolve(sc *scanScratch) {
 		final = append(final, sp.Instrs...)
 		sp.Instrs = final[start:len(final):len(final)]
 	}
+	// Drop what a larger earlier procedure left past the end, so the
+	// pooled buffer does not pin its operands.
+	if len(final) < len(sc.final) {
+		clear(sc.final[len(final):])
+	}
 	sc.final = final
 
 	// Return the pooled buffers with their references dropped, so they

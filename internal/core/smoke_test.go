@@ -213,3 +213,26 @@ func TestSourcesHoldEveryRegister(t *testing.T) {
 		}
 	}
 }
+
+// TestResolveDropsLargerProc allocates a large procedure and then a
+// small one on one Allocator and checks that the pooled buffer holding
+// the resolved code keeps nothing of the large one past the small one's
+// instructions: a stale instruction would pin its operand arrays for as
+// long as the allocator lives.
+func TestResolveDropsLargerProc(t *testing.T) {
+	mach := target.Tiny(6, 3)
+	a := NewDefault(mach)
+	for _, prog := range []*ir.Program{buildLoopProg(mach, 30, 13), buildLoopProg(mach, 2, 13)} {
+		c := prog.Procs[0].Clone()
+		c.Renumber()
+		if _, err := a.Allocate(c, dataflow.Compute(c), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	final := a.scratch.final
+	for i, in := range final[len(final):cap(final)] {
+		if in.Defs != nil || in.Uses != nil || in.OrigDefs != nil || in.OrigUses != nil {
+			t.Fatalf("instruction %d past the small procedure's %d still holds the large one's operands", len(final)+i, len(final))
+		}
+	}
+}

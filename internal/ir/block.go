@@ -254,14 +254,17 @@ func (a *ProcArena) copy(q, p *Proc) {
 			nOrig += len(in.OrigDefs) + len(in.OrigUses)
 		}
 	}
-	a.blocks = scratch.Grow(a.blocks, nb)
-	a.ptrs = scratch.Grow(a.ptrs, nb+nEdges)
-	a.instrs = scratch.Grow(a.instrs, nInstr)
-	a.ops = scratch.Grow(a.ops, nOps)
+	// The pointer-bearing arrays drop what a larger earlier copy left
+	// past the new length, so a small procedure does not keep a large
+	// one's arrays or strings (names alias a decoded request) alive.
+	a.blocks = scratch.Resize(a.blocks, nb)
+	a.ptrs = scratch.Resize(a.ptrs, nb+nEdges)
+	a.instrs = scratch.Resize(a.instrs, nInstr)
+	a.ops = scratch.Resize(a.ops, nOps)
 	a.origs = scratch.Grow(a.origs, nOrig)
 	a.params = scratch.Grow(a.params, len(p.Params))
 	a.classes = scratch.Grow(a.classes, len(p.tempClass))
-	a.names = scratch.Grow(a.names, len(p.tempName))
+	a.names = scratch.Resize(a.names, len(p.tempName))
 	copy(a.params, p.Params)
 	copy(a.classes, p.tempClass)
 	copy(a.names, p.tempName)

@@ -86,6 +86,54 @@ func TestCloneIsDeep(t *testing.T) {
 	_ = b
 }
 
+// TestProcArenaDropsLargerProc clones a large procedure and then a small
+// one into one arena, and checks that nothing of the large one is left
+// reachable past the small one's arrays: stale blocks, edges,
+// instructions, operands or names would pin the large procedure's
+// storage for as long as the arena lives.
+func TestProcArenaDropsLargerProc(t *testing.T) {
+	mach := target.Tiny(6, 3)
+	b := NewBuilder(mach, 16)
+	big := b.NewProc("big", target.ClassInt)
+	sum := big.IntTemp("sum")
+	big.Ldi(sum, 0)
+	for i := 0; i < 40; i++ {
+		next := big.Block("b")
+		big.Jmp(next)
+		big.StartBlock(next)
+		x := big.IntTemp("x")
+		big.Ldi(x, int64(i))
+		big.Op2(Add, sum, TempOp(sum), TempOp(x))
+	}
+	big.Ret(sum)
+	_, small := buildDiamond(t)
+
+	var a ProcArena
+	a.Clone(big.P)
+	q := a.Clone(small.P)
+	if q.NumInstrs() != small.P.NumInstrs() || len(q.Blocks) != len(small.P.Blocks) {
+		t.Fatal("second clone has the wrong shape")
+	}
+	tail := func(name string, n, l int, zero func(i int) bool) {
+		for i := n; i < l; i++ {
+			if !zero(i) {
+				t.Fatalf("%s[%d] past the small clone's %d still holds the large one's", name, i, n)
+			}
+		}
+	}
+	tail("blocks", len(a.blocks), cap(a.blocks), func(i int) bool {
+		b := a.blocks[:cap(a.blocks)][i]
+		return b.Instrs == nil && b.Succs == nil && b.Preds == nil && b.Name == ""
+	})
+	tail("ptrs", len(a.ptrs), cap(a.ptrs), func(i int) bool { return a.ptrs[:cap(a.ptrs)][i] == nil })
+	tail("instrs", len(a.instrs), cap(a.instrs), func(i int) bool {
+		in := a.instrs[:cap(a.instrs)][i]
+		return in.Defs == nil && in.Uses == nil && in.OrigDefs == nil && in.OrigUses == nil
+	})
+	tail("ops", len(a.ops), cap(a.ops), func(i int) bool { return a.ops[:cap(a.ops)][i] == Operand{} })
+	tail("names", len(a.names), cap(a.names), func(i int) bool { return a.names[:cap(a.names)][i] == "" })
+}
+
 func TestSplitEdge(t *testing.T) {
 	_, pb := buildDiamond(t)
 	p := pb.P

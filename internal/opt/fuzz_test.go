@@ -1,24 +1,27 @@
-package opt
+package opt_test
 
 import (
 	"strings"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/ir"
 	"repro/internal/progs"
 	"repro/internal/target"
 )
 
 // fuzzScratch is shared by every input of FuzzDCEMatchesReference, so
-// the pooled storage carries state from one procedure, and one input, to
-// the next, as it does on an engine worker.
-var fuzzScratch Scratch
+// the pooled clone and dead-code elimination storage carry state from
+// one procedure, and one input, to the next, as they do on an engine
+// worker.
+var fuzzScratch alloc.Scratch
 
 var fuzzMachines = []string{"alpha", "x86-8", "tiny:4,2"}
 
-// FuzzDCEMatchesReference drives generator programs through the pooled
-// dead-code elimination on one shared scratch and through referenceDCE,
-// and requires the same removed count and the same printed procedure.
+// FuzzDCEMatchesReference drives generator programs through the
+// pipeline's dead-code elimination (alloc.Prepare) on one shared scratch
+// and through referenceDCE, and requires the same removed count and the
+// same printed procedure.
 // The first byte picks the machine; every following group of three
 // picks a generator profile and a 16-bit seed, one program each.
 func FuzzDCEMatchesReference(f *testing.F) {
@@ -48,9 +51,10 @@ func FuzzDCEMatchesReference(f *testing.F) {
 				t.Fatal(err)
 			}
 			for _, orig := range progs.Random(mach, cfg).Procs {
-				want, got := orig.Clone(), orig.Clone()
+				want := orig.Clone()
 				wantN := referenceDCE(want)
-				n, _ := fuzzScratch.DeadCodeElim(got)
+				got, _ := alloc.Prepare(orig, &fuzzScratch, nil)
+				n := orig.NumInstrs() - got.NumInstrs()
 				if n != wantN {
 					t.Fatalf("%s seed %d proc %s: removed %d, reference %d", prof, cfg.Seed, orig.Name, n, wantN)
 				}

@@ -16,9 +16,15 @@ import (
 
 // Scratch holds the reusable working storage of dead-code elimination:
 // the liveness scratch its rounds run on, and the per-block live and keep
-// vectors. One scratch serves one goroutine; the Liveness DeadCodeElim
-// returns is owned by the scratch and valid until the next call on it.
-// The zero value is ready to use.
+// vectors. Dead-code elimination removes instructions whose results are
+// never used: a def of a temporary not live after the instruction, with
+// no side effects. Instructions defining physical registers, stores,
+// calls and terminators are always kept. Removing an instruction can make
+// its operands dead, so rounds of Liveness and RemoveDead repeat until
+// one removes nothing; the allocation pipeline's Prepare drives the
+// rounds, timing the two halves apart, and hands the liveness of the
+// last round, which changed nothing, to the allocator. One scratch
+// serves one goroutine; the zero value is ready to use.
 type Scratch struct {
 	df         dataflow.Scratch
 	live       []bool    // by temp; all false between blocks
@@ -27,43 +33,12 @@ type Scratch struct {
 	dbuf, ubuf []ir.Temp
 }
 
-// DeadCodeElim removes instructions whose results are never used: a def
-// of a temporary not live after the instruction, with no side effects.
-// Instructions defining physical registers, stores, calls and terminators
-// are always kept. Removing an instruction can make its operands dead, so
-// rounds of liveness and removal repeat until one removes nothing.
-//
-// It returns the number of instructions removed and the liveness of the
-// last round. That round changed nothing, so the liveness is exactly
-// that of p as DeadCodeElim leaves it (renumbered): the pipeline hands it
-// to the allocator instead of computing it again. The pipeline drives
-// the same rounds itself (Liveness, then RemoveDead) to time the two
-// halves apart.
-func (sc *Scratch) DeadCodeElim(p *ir.Proc) (int, *dataflow.Liveness) {
-	removed := 0
-	for {
-		lv := sc.Liveness(p)
-		n := sc.RemoveDead(p, lv)
-		removed += n
-		if n == 0 {
-			return removed, lv
-		}
-	}
-}
-
 // Liveness renumbers p and solves its liveness: the first half of one
 // dead-code elimination round. The result is owned by the scratch and
 // valid until its next use.
 func (sc *Scratch) Liveness(p *ir.Proc) *dataflow.Liveness {
 	p.Renumber()
 	return sc.df.Compute(p)
-}
-
-// DeadCodeElim is Scratch.DeadCodeElim with throwaway storage, returning
-// only the number of instructions removed.
-func DeadCodeElim(p *ir.Proc) int {
-	n, _ := new(Scratch).DeadCodeElim(p)
-	return n
 }
 
 // RemoveDead is the second half of one dead-code elimination round: it

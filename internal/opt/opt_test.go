@@ -7,59 +7,6 @@ import (
 	"repro/internal/target"
 )
 
-func TestDeadCodeElim(t *testing.T) {
-	mach := target.Tiny(6, 3)
-	b := ir.NewBuilder(mach, 8)
-	pb := b.NewProc("main")
-	x := pb.IntTemp("x")
-	dead := pb.IntTemp("dead")
-	dead2 := pb.IntTemp("dead2")
-	pb.Ldi(x, 1)
-	pb.Ldi(dead2, 9)                                    // only feeds dead
-	pb.Op2(ir.Add, dead, ir.TempOp(dead2), ir.ImmOp(1)) // dead
-	pb.Op2(ir.Add, x, ir.TempOp(x), ir.ImmOp(1))        // live
-	pb.St(ir.TempOp(x), ir.ImmOp(0), 0)                 // side effect: kept
-	pb.Ret(x)
-
-	before := pb.P.NumInstrs()
-	removed := DeadCodeElim(pb.P)
-	if removed != 2 {
-		t.Fatalf("removed %d, want 2 (transitively dead chain)", removed)
-	}
-	if pb.P.NumInstrs() != before-2 {
-		t.Fatal("instruction count mismatch")
-	}
-	if err := ir.Validate(pb.P, mach); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDCEKeepsPhysicalDefsAndCalls(t *testing.T) {
-	mach := target.Tiny(6, 3)
-	b := ir.NewBuilder(mach, 8)
-	pb := b.NewProc("main")
-	x := pb.IntTemp("x")
-	pb.Call("getc", x) // call result unused: the call must stay
-	y := pb.IntTemp("y")
-	pb.Ldi(y, 3)
-	pb.Ret(y)
-	calls := 0
-	DeadCodeElim(pb.P)
-	for _, blk := range pb.P.Blocks {
-		for i := range blk.Instrs {
-			if blk.Instrs[i].Op == ir.Call {
-				calls++
-			}
-		}
-	}
-	if calls != 2 { // getc + the puti-free Ret path has the ret-move... just getc + none
-		// main has one call (getc); Ret emits a convention move, not a call.
-		if calls != 1 {
-			t.Fatalf("calls after DCE = %d", calls)
-		}
-	}
-}
-
 func TestPeepholeRemovesSelfMoves(t *testing.T) {
 	mach := target.Tiny(6, 3)
 	p := ir.NewProc("main")

@@ -1,4 +1,4 @@
-package opt
+package opt_test
 
 import (
 	"repro/internal/dataflow"
@@ -7,8 +7,8 @@ import (
 
 // referenceDCE is dead-code elimination as it was before it ran on
 // pooled storage, kept verbatim as the test oracle: on every procedure
-// the pooled Scratch.DeadCodeElim must remove the same instructions and
-// report the same count.
+// the rounds alloc.Prepare drives on pooled storage must remove the same
+// instructions.
 //
 // DeadCodeElim removes instructions whose results are never used: a def
 // of a temporary not live after the instruction, with no side effects.

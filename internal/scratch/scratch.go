@@ -29,3 +29,21 @@ func GrowCleared[T any](buf []T, n int) []T {
 	clear(full)
 	return full[:n]
 }
+
+// Resize returns buf resized to n, reusing its backing array when
+// capacity allows, and zeroes the elements from n to buf's old length:
+// the ones a shorter reuse would leave pinning what the longer one
+// stored. Elements past buf's length must already be zero, which holds
+// when every resize of buf goes through Resize. Use for pointer-bearing
+// buffers the caller fully rewrites at each use, where GrowCleared's
+// clear of the whole capacity would cost a pass over the largest
+// workload ever seen on every reuse.
+func Resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	if n < len(buf) {
+		clear(buf[n:])
+	}
+	return buf[:n]
+}

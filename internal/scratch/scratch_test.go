@@ -93,3 +93,28 @@ func TestGrowClearedReallocates(t *testing.T) {
 		t.Fatalf("source buffer clobbered: %v", buf)
 	}
 }
+
+func TestResizeClearsTheStaleTail(t *testing.T) {
+	type node struct{ p *int }
+	x := 1
+	buf := Resize[node](nil, 6)
+	for i := range buf {
+		buf[i].p = &x
+	}
+	out := Resize(buf, 2)
+	if len(out) != 2 || &out[0] != &buf[0] {
+		t.Fatalf("len %d, or reallocated despite sufficient capacity", len(out))
+	}
+	if out[0].p != &x || out[1].p != &x {
+		t.Fatal("Resize cleared the kept prefix")
+	}
+	full := out[:cap(out)]
+	for i := 2; i < len(full); i++ {
+		if full[i].p != nil {
+			t.Fatalf("stale element %d still pins its pointer", i)
+		}
+	}
+	if again := Resize(out, 5); len(again) != 5 || &again[0] != &buf[0] {
+		t.Fatal("growing within capacity reallocated")
+	}
+}
