@@ -4,7 +4,9 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -32,9 +34,18 @@ type CacheKey string
 // shared between all cache readers and must never be mutated; the
 // engine decodes a fresh program (and copies the report) on every hit,
 // so callers always own what AllocateCached returns.
+//
+// An alias entry, stored by a serving layer under a BytesKey, has no
+// frame: it holds the canonical Key of the program the request's bytes
+// parse to, that program's allocation as Printed text, and the report
+// with Cached set, so a repeated request is answered without parsing,
+// decoding or printing anything.
 type CachedAllocation struct {
 	Frame  []byte
 	Report *Report
+
+	Key     CacheKey
+	Printed string
 }
 
 // CacheStats are a ResultCache's cumulative counters.
@@ -72,13 +83,20 @@ func WithCache(c *ResultCache) Option {
 // Cache returns the engine's result cache, or nil if none is installed.
 func (e *Engine) Cache() *ResultCache { return e.cache }
 
-// configFingerprint renders every engine knob that affects the
-// allocated output. Parallelism and phase profiling are excluded:
-// results are deterministic regardless of the worker count, and
-// profiling only annotates the report.
-func (e *Engine) configFingerprint() string {
-	return fmt.Sprintf("algo=%s fwdstores=%t verify=%t",
-		e.algorithm, e.pipe.ForwardStores, e.pipe.Verify)
+// keyHead renders what every key of the engine hashes first: each
+// engine knob that affects the allocated output, and the machine spec.
+// Parallelism and phase profiling are excluded: results are
+// deterministic regardless of the worker count, and profiling only
+// annotates the report. New renders it once.
+func (e *Engine) keyHead() []byte {
+	return fmt.Appendf(nil, "algo=%s fwdstores=%t verify=%t\n%s\n",
+		e.algorithm, e.pipe.ForwardStores, e.pipe.Verify, e.mach.Spec())
+}
+
+// sumKey finishes a key from its hash.
+func sumKey(h hash.Hash) CacheKey {
+	var sum [sha256.Size]byte
+	return CacheKey("sha256:" + hex.EncodeToString(h.Sum(sum[:0])))
 }
 
 // keyFrames recycles the buffers CacheKey encodes programs into.
@@ -91,10 +109,26 @@ func (e *Engine) CacheKey(prog *Program) CacheKey {
 	buf := keyFrames.Get().(*[]byte)
 	*buf = irbin.AppendProgram((*buf)[:0], prog)
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\n", e.configFingerprint(), e.mach.Spec())
+	h.Write(e.head)
 	h.Write(*buf)
 	keyFrames.Put(buf)
-	return CacheKey(fmt.Sprintf("sha256:%x", h.Sum(nil)))
+	return sumKey(h)
+}
+
+// BytesKey content-addresses a request by its raw program bytes rather
+// than by the program they encode: sha256 over the engine
+// configuration, the machine spec, the body form (a label such as
+// "text" or "binary") and the bytes. Equal bytes in one form parse to
+// equal programs under one engine, so an answer stored under this key
+// (an alias entry, see CachedAllocation) holds for every later request
+// with the same bytes. Its hashed preimage differs from every
+// CacheKey's, so the two kinds of key cannot collide.
+func (e *Engine) BytesKey(form string, program []byte) CacheKey {
+	h := sha256.New()
+	h.Write(e.head)
+	fmt.Fprintf(h, "bytes=%s\n", form)
+	h.Write(program)
+	return sumKey(h)
 }
 
 // AllocateCached is AllocateProgram behind the engine's result cache,
@@ -214,6 +248,11 @@ func (c *ResultCache) shard(key CacheKey) *cacheShard {
 
 // Get returns the entry stored under key, if any.
 func (c *ResultCache) Get(key CacheKey) (*CachedAllocation, bool) {
+	return c.get(key, true)
+}
+
+// get looks key up, counting a hit and, when countMiss is set, a miss.
+func (c *ResultCache) get(key CacheKey, countMiss bool) (*CachedAllocation, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	el, ok := s.entries[key]
@@ -224,11 +263,21 @@ func (c *ResultCache) Get(key CacheKey) (*CachedAllocation, bool) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		c.misses.Add(1)
+		if countMiss {
+			c.misses.Add(1)
+		}
 		return nil, false
 	}
 	c.hits.Add(1)
 	return val, true
+}
+
+// Probe is Get for a lookup whose miss the caller follows with a
+// counted Get for the same request (an alias probe before the canonical
+// key): a hit counts, a miss does not, so Hits and Misses keep one
+// outcome per request.
+func (c *ResultCache) Probe(key CacheKey) (*CachedAllocation, bool) {
+	return c.get(key, false)
 }
 
 // Put stores an entry under key, evicting older entries if needed.

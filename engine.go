@@ -23,6 +23,7 @@ type Engine struct {
 	pipe        alloc.Pipeline // the §3 pass ordering, configured by the options
 	parallelism int
 	cache       *ResultCache
+	head        []byte // keyHead, rendered once
 
 	// idle holds the workers not running a procedure. It grows to the
 	// peak concurrency and never shrinks: a worker's scratch arenas are
@@ -161,6 +162,7 @@ func New(mach *Machine, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("regalloc: unknown algorithm %q (have %v)", e.algorithm, Algorithms())
 	}
 	e.factory = factory
+	e.head = e.keyHead()
 	w, err := e.newWorker()
 	if err != nil {
 		return nil, err

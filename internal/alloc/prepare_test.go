@@ -56,12 +56,13 @@ func TestPrepareHandsOverLiveness(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sc Scratch
+		var loops cfg.Scratch
 		names, ps := progs.GoldenCorpus(mach)
 		for i, prog := range ps {
 			for _, orig := range prog.Procs {
 				p, lv := Prepare(orig, &sc, nil)
 				p.Renumber()
-				cfg.ComputeLoopDepths(p)
+				loops.ComputeLoopDepths(p)
 				if d := diffLiveness(p, lv, dataflow.Compute(p)); d != "" {
 					t.Fatalf("%s %s %s: handed-over liveness differs: %s", machName, names[i], orig.Name, d)
 				}

@@ -8,163 +8,176 @@
 package cfg
 
 import (
+	"slices"
+
 	"repro/internal/ir"
+	"repro/internal/scratch"
 )
 
-// ReversePostorder returns the blocks reachable from the entry in reverse
-// postorder.
-func ReversePostorder(p *ir.Proc) []*ir.Block {
-	seen := make(map[*ir.Block]bool, len(p.Blocks))
-	var post []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		seen[b] = true
-		for _, s := range b.Succs {
-			if !seen[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
-	if p.Entry() != nil {
-		dfs(p.Entry())
-	}
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
+// Scratch is the storage of the loop analysis, reused from one
+// procedure to the next: every table is a slice indexed by Block.Order
+// or by reverse-postorder number, and blocks are held by Order, so a
+// warm Scratch analyses a procedure no larger than the largest it has
+// seen without allocating, and keeps no procedure alive. An allocator
+// keeps one. The zero value is ready to use; a Scratch must not be used
+// concurrently.
+type Scratch struct {
+	rpo   []int32    // Order of the reachable blocks in reverse postorder
+	num   []int32    // Block.Order → reverse-postorder number, -1 if unreachable
+	idom  []int32    // rpo number → rpo number of the immediate dominator, -1 if unknown
+	walk  []dfsFrame // the depth-first walk's stack
+	stack []int32    // Order of the blocks on a loop body's worklist
+	mark  []int32    // Block.Order → 1 + Order of the last loop header whose body holds it
 }
 
-// Dominators computes the immediate dominator of every reachable block
-// using the Cooper–Harvey–Kennedy iterative algorithm. The entry block's
-// immediate dominator is itself. Unreachable blocks map to nil.
-func Dominators(p *ir.Proc) map[*ir.Block]*ir.Block {
-	rpo := ReversePostorder(p)
-	index := make(map[*ir.Block]int, len(rpo))
-	for i, b := range rpo {
-		index[b] = i
-	}
-	idom := make(map[*ir.Block]*ir.Block, len(rpo))
-	entry := p.Entry()
-	idom[entry] = entry
+// dfsFrame is one block of the depth-first walk, by Order, and the
+// index of the next successor to visit.
+type dfsFrame struct {
+	order, next int32
+}
 
-	intersect := func(a, b *ir.Block) *ir.Block {
+// reversePostorder fills sc.rpo with the blocks reachable from the
+// entry in reverse postorder and sc.num with each block's position in
+// it. Block.Order must be each block's layout index (NewBlock, Renumber
+// and the binary decoder assign it).
+func (sc *Scratch) reversePostorder(p *ir.Proc) {
+	nb := len(p.Blocks)
+	sc.num = scratch.Grow(sc.num, nb)
+	for i := range sc.num {
+		sc.num[i] = -1
+	}
+	sc.rpo = sc.rpo[:0]
+	if nb == 0 {
+		return
+	}
+	// -2 marks a block seen until its number is known.
+	sc.walk = append(sc.walk[:0], dfsFrame{})
+	sc.num[0] = -2
+	for len(sc.walk) > 0 {
+		f := &sc.walk[len(sc.walk)-1]
+		if succs := p.Blocks[f.order].Succs; int(f.next) < len(succs) {
+			s := succs[f.next].Order
+			f.next++
+			if sc.num[s] == -1 {
+				sc.num[s] = -2
+				sc.walk = append(sc.walk, dfsFrame{order: int32(s)})
+			}
+			continue
+		}
+		sc.rpo = append(sc.rpo, f.order)
+		sc.walk = sc.walk[:len(sc.walk)-1]
+	}
+	slices.Reverse(sc.rpo)
+	for i, o := range sc.rpo {
+		sc.num[o] = int32(i)
+	}
+}
+
+// dominators fills sc.idom with the immediate dominator of every
+// reachable block, by reverse-postorder number, using the
+// Cooper–Harvey–Kennedy iterative algorithm. The entry block (number 0)
+// is its own immediate dominator.
+func (sc *Scratch) dominators(p *ir.Proc) {
+	sc.reversePostorder(p)
+	n := len(sc.rpo)
+	sc.idom = scratch.Grow(sc.idom, n)
+	for i := range sc.idom {
+		sc.idom[i] = -1
+	}
+	if n == 0 {
+		return
+	}
+	idom := sc.idom
+	idom[0] = 0
+	intersect := func(a, b int32) int32 {
 		for a != b {
-			for index[a] > index[b] {
+			for a > b {
 				a = idom[a]
 			}
-			for index[b] > index[a] {
+			for b > a {
 				b = idom[b]
 			}
 		}
 		return a
 	}
-
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo {
-			if b == entry {
-				continue
-			}
-			var newIdom *ir.Block
-			for _, pred := range b.Preds {
-				if idom[pred] == nil {
-					continue // pred not yet processed or unreachable
+		for i := 1; i < n; i++ {
+			newIdom := int32(-1)
+			for _, pred := range p.Blocks[sc.rpo[i]].Preds {
+				pi := sc.num[pred.Order]
+				if pi < 0 || idom[pi] < 0 {
+					continue // pred unreachable or not yet processed
 				}
-				if newIdom == nil {
-					newIdom = pred
+				if newIdom < 0 {
+					newIdom = pi
 				} else {
-					newIdom = intersect(pred, newIdom)
+					newIdom = intersect(pi, newIdom)
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if newIdom >= 0 && idom[i] != newIdom {
+				idom[i] = newIdom
 				changed = true
 			}
 		}
 	}
-	return idom
 }
 
-// Dominates reports whether a dominates b under the idom map (reflexive).
-func Dominates(idom map[*ir.Block]*ir.Block, a, b *ir.Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		next := idom[b]
-		if next == nil || next == b {
-			return a == b
-		}
-		b = next
+// dominates reports whether the block numbered a dominates the block
+// numbered b (reflexive); both must be reachable.
+func (sc *Scratch) dominates(a, b int32) bool {
+	for b != a && b != 0 {
+		b = sc.idom[b]
 	}
+	return a == b
 }
 
-// Loop describes one natural loop.
-type Loop struct {
-	Header *ir.Block
-	Blocks map[*ir.Block]bool
-}
-
-// NaturalLoops finds the natural loop of every back edge (an edge t→h
-// where h dominates t). Loops sharing a header are merged.
-func NaturalLoops(p *ir.Proc) []*Loop {
-	idom := Dominators(p)
-	loops := make(map[*ir.Block]*Loop)
-	var order []*ir.Block
+// ComputeLoopDepths sets Block.Depth for every block of p to the number
+// of natural loops containing it. The natural loop of a back edge t→h
+// (h dominates t) is h plus every block that reaches t without passing
+// through h; loops sharing a header are one loop. Block.Order must be
+// each block's layout index.
+func (sc *Scratch) ComputeLoopDepths(p *ir.Proc) {
 	for _, b := range p.Blocks {
-		if idom[b] == nil && b != p.Entry() {
-			continue // unreachable
+		b.Depth = 0
+	}
+	sc.dominators(p)
+	sc.mark = scratch.Grow(sc.mark, len(p.Blocks))
+	clear(sc.mark)
+	for _, h := range p.Blocks {
+		hn := sc.num[h.Order]
+		if hn < 0 {
+			continue // unreachable: no back edge enters it
 		}
-		for _, h := range b.Succs {
-			if !Dominates(idom, h, b) {
+		stamp := int32(h.Order) + 1
+		for _, t := range h.Preds {
+			if tn := sc.num[t.Order]; tn < 0 || !sc.dominates(hn, tn) {
 				continue
 			}
-			// b→h is a back edge; collect the natural loop body.
-			l := loops[h]
-			if l == nil {
-				l = &Loop{Header: h, Blocks: map[*ir.Block]bool{h: true}}
-				loops[h] = l
-				order = append(order, h)
+			// t→h is a back edge; add its natural loop to h's.
+			if sc.mark[h.Order] != stamp {
+				sc.mark[h.Order] = stamp
+				h.Depth++
 			}
-			var stack []*ir.Block
-			if !l.Blocks[b] {
-				l.Blocks[b] = true
-				stack = append(stack, b)
+			sc.stack = sc.stack[:0]
+			if sc.mark[t.Order] != stamp {
+				sc.mark[t.Order] = stamp
+				t.Depth++
+				sc.stack = append(sc.stack, int32(t.Order))
 			}
-			for len(stack) > 0 {
-				x := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
+			for len(sc.stack) > 0 {
+				x := p.Blocks[sc.stack[len(sc.stack)-1]]
+				sc.stack = sc.stack[:len(sc.stack)-1]
 				for _, q := range x.Preds {
-					if !l.Blocks[q] {
-						l.Blocks[q] = true
-						stack = append(stack, q)
+					if sc.mark[q.Order] != stamp {
+						sc.mark[q.Order] = stamp
+						q.Depth++
+						sc.stack = append(sc.stack, int32(q.Order))
 					}
 				}
 			}
 		}
 	}
-	out := make([]*Loop, 0, len(order))
-	for _, h := range order {
-		out = append(out, loops[h])
-	}
-	return out
-}
-
-// ComputeLoopDepths sets Block.Depth for every block to the number of
-// natural loops containing it, and returns the loops.
-func ComputeLoopDepths(p *ir.Proc) []*Loop {
-	for _, b := range p.Blocks {
-		b.Depth = 0
-	}
-	loops := NaturalLoops(p)
-	for _, l := range loops {
-		for b := range l.Blocks {
-			b.Depth++
-		}
-	}
-	return loops
 }
 
 // IsCriticalEdge reports whether the edge pred→succ is critical: pred has

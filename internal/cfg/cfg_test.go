@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/progs"
 	"repro/internal/target"
 )
 
@@ -60,9 +61,30 @@ func buildNestedLoops(t *testing.T) (*ir.Proc, map[string]*ir.Block) {
 	return pb.P, blocks
 }
 
+// rpoBlocks runs the reverse-postorder walk on sc and returns its
+// blocks.
+func rpoBlocks(sc *Scratch, p *ir.Proc) []*ir.Block {
+	sc.reversePostorder(p)
+	var out []*ir.Block
+	for _, o := range sc.rpo {
+		out = append(out, p.Blocks[o])
+	}
+	return out
+}
+
+// idomOf returns b's immediate dominator from sc's last dominators run,
+// or nil if b is unreachable.
+func idomOf(sc *Scratch, p *ir.Proc, b *ir.Block) *ir.Block {
+	n := sc.num[b.Order]
+	if n < 0 {
+		return nil
+	}
+	return p.Blocks[sc.rpo[sc.idom[n]]]
+}
+
 func TestReversePostorder(t *testing.T) {
 	p, blocks := buildNestedLoops(t)
-	rpo := ReversePostorder(p)
+	rpo := rpoBlocks(new(Scratch), p)
 	if len(rpo) != len(p.Blocks) {
 		t.Fatalf("rpo covers %d of %d blocks", len(rpo), len(p.Blocks))
 	}
@@ -85,9 +107,10 @@ func TestReversePostorder(t *testing.T) {
 
 func TestDominators(t *testing.T) {
 	p, blocks := buildNestedLoops(t)
-	idom := Dominators(p)
+	var sc Scratch
+	sc.dominators(p)
 	entry := p.Entry()
-	if idom[entry] != entry {
+	if idomOf(&sc, p, entry) != entry {
 		t.Fatal("entry must dominate itself")
 	}
 	wants := map[string]string{
@@ -99,24 +122,22 @@ func TestDominators(t *testing.T) {
 		"exit":       "outerHead",
 	}
 	for blk, dom := range wants {
-		if got := idom[blocks[blk]]; got == nil || got.Name != dom {
+		if got := idomOf(&sc, p, blocks[blk]); got == nil || got.Name != dom {
 			t.Fatalf("idom(%s) = %v, want %s", blk, got, dom)
 		}
 	}
-	if !Dominates(idom, entry, blocks["innerBody"]) {
+	num := func(name string) int32 { return sc.num[blocks[name].Order] }
+	if !sc.dominates(sc.num[entry.Order], num("innerBody")) {
 		t.Fatal("entry must dominate innerBody")
 	}
-	if Dominates(idom, blocks["innerBody"], blocks["exit"]) {
+	if sc.dominates(num("innerBody"), num("exit")) {
 		t.Fatal("innerBody must not dominate exit")
 	}
 }
 
 func TestLoopDepths(t *testing.T) {
 	p, blocks := buildNestedLoops(t)
-	loops := ComputeLoopDepths(p)
-	if len(loops) != 2 {
-		t.Fatalf("found %d loops, want 2", len(loops))
-	}
+	new(Scratch).ComputeLoopDepths(p)
 	wants := map[string]int{
 		"entry": 0, "outerHead": 1, "outerBody": 1,
 		"innerHead": 2, "innerBody": 2, "outerLatch": 1, "exit": 0,
@@ -152,15 +173,43 @@ func TestUnreachableBlocksHandled(t *testing.T) {
 	p, _ := buildNestedLoops(t)
 	dead := p.NewBlock("dead")
 	dead.Instrs = []ir.Instr{{Op: ir.Ret}}
-	rpo := ReversePostorder(p)
-	for _, b := range rpo {
+	var sc Scratch
+	for _, b := range rpoBlocks(&sc, p) {
 		if b == dead {
 			t.Fatal("unreachable block in RPO")
 		}
 	}
-	idom := Dominators(p)
-	if idom[dead] != nil {
+	sc.dominators(p)
+	if idomOf(&sc, p, dead) != nil {
 		t.Fatal("unreachable block has an idom")
 	}
-	ComputeLoopDepths(p) // must not panic
+	sc.ComputeLoopDepths(p) // must not panic
+}
+
+// TestScratchReuse runs one Scratch over every procedure of the golden
+// corpus, large and small in turn, and requires the depths a fresh
+// Scratch gives: nothing a larger procedure left in the tables may leak
+// into a smaller one's analysis.
+func TestScratchReuse(t *testing.T) {
+	mach := target.Alpha()
+	var shared Scratch
+	names, ps := progs.GoldenCorpus(mach)
+	for i, prog := range ps {
+		for _, orig := range prog.Procs {
+			p := orig.Clone()
+			p.Renumber()
+			new(Scratch).ComputeLoopDepths(p)
+			want := make([]int, len(p.Blocks))
+			for j, b := range p.Blocks {
+				want[j], b.Depth = b.Depth, -1
+			}
+			shared.ComputeLoopDepths(p)
+			for j, b := range p.Blocks {
+				if b.Depth != want[j] {
+					t.Fatalf("%s %s block %s: depth %d on a reused Scratch, %d on a fresh one",
+						names[i], p.Name, b.Name, b.Depth, want[j])
+				}
+			}
+		}
+	}
 }

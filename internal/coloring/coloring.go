@@ -35,6 +35,7 @@ type Allocator struct {
 	// MaxRounds bounds build/color iterations (default 32).
 	MaxRounds int
 	saves     alloc.CalleeSaves
+	loops     cfg.Scratch
 }
 
 // New returns a coloring allocator for the machine.
@@ -56,7 +57,7 @@ func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer)
 	res := &alloc.Result{Proc: p}
 	p.Renumber()
 	tm.Mark(&res.Stats, alloc.PhaseOther)
-	cfg.ComputeLoopDepths(p)
+	a.loops.ComputeLoopDepths(p)
 	tm.Mark(&res.Stats, alloc.PhaseCFG)
 
 	start := time.Now()

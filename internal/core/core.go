@@ -96,6 +96,7 @@ type Allocator struct {
 	ltsc    lifetime.Scratch
 	rbsc    lifetime.RegScratch
 	saves   alloc.CalleeSaves
+	loops   cfg.Scratch
 }
 
 // New returns an allocator for the machine with the given options.
@@ -128,7 +129,7 @@ func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer)
 	// Shared setup (the paper excludes this from allocation timing:
 	// CFG construction, loop analysis and liveness are common to both
 	// allocators, §3.2).
-	cfg.ComputeLoopDepths(p)
+	a.loops.ComputeLoopDepths(p)
 	tm.Mark(st, alloc.PhaseCFG)
 
 	start := time.Now()

@@ -107,11 +107,12 @@ func TestScanBoundaryInvariants(t *testing.T) {
 		}
 		opts := mc.opts()
 		var sc scanScratch // shared, as on one pooled Allocator
+		var loops cfg.Scratch
 		for name, prog := range invariantCorpus(mach) {
 			for _, orig := range prog.Procs {
 				p, lv := alloc.Prepare(orig, nil, &alloc.Stats{})
 				p.Renumber()
-				cfg.ComputeLoopDepths(p)
+				loops.ComputeLoopDepths(p)
 				s := newScan(p, mach, opts, lv, lifetime.Compute(p, lv), lifetime.ComputeRegBusy(p, mach), &sc)
 				for _, b := range p.Blocks {
 					top := inRegs(s, lv.LiveIn[b.Order])

@@ -1,9 +1,10 @@
 package ir
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/target"
 )
@@ -21,104 +22,133 @@ type Printer struct {
 	Positions bool
 }
 
-// FormatOperand renders one operand of p.
-func (pr *Printer) FormatOperand(p *Proc, o Operand) string {
+// printBufs recycles the buffers WriteProc and WriteProgram render
+// into, so a warm printer grows nothing but its writer.
+var printBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendOperand appends the rendering of one operand of p.
+func (pr *Printer) appendOperand(buf []byte, p *Proc, o Operand) []byte {
 	switch o.Kind {
 	case KindNone:
-		return "_"
+		return append(buf, '_')
 	case KindTemp:
-		return p.TempName(o.Temp)
+		return append(buf, p.TempName(o.Temp)...)
 	case KindReg:
 		if pr.Mach != nil {
-			return "$" + pr.Mach.RegName(o.Reg)
+			return append(append(buf, '$'), pr.Mach.RegName(o.Reg)...)
 		}
-		return fmt.Sprintf("$R%d", o.Reg)
+		return strconv.AppendInt(append(buf, "$R"...), int64(o.Reg), 10)
 	case KindImm:
-		return fmt.Sprintf("%d", o.Imm)
+		return strconv.AppendInt(buf, o.Imm, 10)
 	case KindFImm:
-		return fmt.Sprintf("%g", o.F)
+		return strconv.AppendFloat(buf, o.F, 'g', -1, 64)
 	case KindSlot:
-		return fmt.Sprintf("[slot%d:%s]", o.Imm, p.TempName(o.Temp))
+		buf = strconv.AppendInt(append(buf, "[slot"...), o.Imm, 10)
+		return append(append(append(buf, ':'), p.TempName(o.Temp)...), ']')
 	case KindSym:
-		return "@" + o.Sym
+		return append(append(buf, '@'), o.Sym...)
 	}
-	return fmt.Sprintf("?kind%d", o.Kind)
+	return strconv.AppendUint(append(buf, "?kind"...), uint64(o.Kind), 10)
 }
 
-// FormatInstr renders one instruction of p (without trailing newline).
-func (pr *Printer) FormatInstr(p *Proc, b *Block, in *Instr) string {
-	var sb strings.Builder
+// appendOperands appends ops separated by ", ".
+func (pr *Printer) appendOperands(buf []byte, p *Proc, ops []Operand) []byte {
+	for i, o := range ops {
+		if i > 0 {
+			buf = append(buf, ", "...)
+		}
+		buf = pr.appendOperand(buf, p, o)
+	}
+	return buf
+}
+
+// appendInstr appends the rendering of one instruction of b (without a
+// trailing newline).
+func (pr *Printer) appendInstr(buf []byte, p *Proc, b *Block, in *Instr) []byte {
 	if pr.Positions {
-		fmt.Fprintf(&sb, "%4d: ", in.Pos)
+		pos := strconv.AppendInt(nil, int64(in.Pos), 10)
+		for n := len(pos); n < 4; n++ {
+			buf = append(buf, ' ')
+		}
+		buf = append(append(buf, pos...), ": "...)
 	}
 	switch in.Op {
 	case Jmp:
-		fmt.Fprintf(&sb, "jmp %s", b.Succs[0].Name)
+		buf = append(append(buf, "jmp "...), b.Succs[0].Name...)
 	case Br:
-		fmt.Fprintf(&sb, "br %s, %s, %s", pr.FormatOperand(p, in.Uses[0]), b.Succs[0].Name, b.Succs[1].Name)
+		buf = pr.appendOperand(append(buf, "br "...), p, in.Uses[0])
+		buf = append(append(buf, ", "...), b.Succs[0].Name...)
+		buf = append(append(buf, ", "...), b.Succs[1].Name...)
 	case Ret:
-		sb.WriteString("ret")
+		buf = append(buf, "ret"...)
 	case Call:
 		if len(in.Defs) > 0 {
-			fmt.Fprintf(&sb, "%s = ", pr.FormatOperand(p, in.Defs[0]))
+			buf = append(pr.appendOperand(buf, p, in.Defs[0]), " = "...)
 		}
-		sb.WriteString("call ")
-		sb.WriteString(pr.FormatOperand(p, in.Uses[0]))
-		sb.WriteByte('(')
-		for i, u := range in.Uses[1:] {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(pr.FormatOperand(p, u))
-		}
-		sb.WriteByte(')')
+		buf = pr.appendOperand(append(buf, "call "...), p, in.Uses[0])
+		buf = append(pr.appendOperands(append(buf, '('), p, in.Uses[1:]), ')')
 	default:
-		for i, d := range in.Defs {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(pr.FormatOperand(p, d))
-		}
+		buf = pr.appendOperands(buf, p, in.Defs)
 		if len(in.Defs) > 0 {
-			sb.WriteString(" = ")
+			buf = append(buf, " = "...)
 		}
-		sb.WriteString(in.Op.String())
-		for i, u := range in.Uses {
-			if i == 0 {
-				sb.WriteByte(' ')
-			} else {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(pr.FormatOperand(p, u))
+		buf = append(buf, in.Op.String()...)
+		if len(in.Uses) > 0 {
+			buf = pr.appendOperands(append(buf, ' '), p, in.Uses)
 		}
 	}
 	if pr.Tags && in.Tag != TagNone {
-		fmt.Fprintf(&sb, "  ; %s", in.Tag)
+		buf = append(append(buf, "  ; "...), in.Tag.String()...)
 	}
-	return sb.String()
+	return buf
+}
+
+// appendProc appends the rendering of the whole procedure.
+func (pr *Printer) appendProc(buf []byte, p *Proc) []byte {
+	buf = append(append(buf, "func "...), p.Name...)
+	buf = append(buf, '(')
+	for i, t := range p.Params {
+		if i > 0 {
+			buf = append(buf, ", "...)
+		}
+		buf = append(append(append(buf, p.TempName(t)...), ' '), p.TempClass(t).String()...)
+	}
+	buf = append(buf, ") {\n"...)
+	for _, b := range p.Blocks {
+		buf = append(append(buf, b.Name...), ':')
+		if b.Depth > 0 {
+			buf = strconv.AppendInt(append(buf, "  ; depth="...), int64(b.Depth), 10)
+		}
+		buf = append(buf, '\n')
+		for i := range b.Instrs {
+			buf = append(pr.appendInstr(append(buf, "    "...), p, b, &b.Instrs[i]), '\n')
+		}
+	}
+	return append(buf, "}\n"...)
+}
+
+// appendProgram appends the rendering of every procedure in the program.
+func (pr *Printer) appendProgram(buf []byte, prog *Program) []byte {
+	buf = strconv.AppendInt(append(buf, "program mem="...), int64(prog.MemWords), 10)
+	buf = append(append(append(buf, " main="...), prog.Main...), '\n')
+	for _, p := range prog.Procs {
+		buf = pr.appendProc(append(buf, '\n'), p)
+	}
+	return buf
+}
+
+// write renders into a pooled buffer with render and writes it to w in
+// one call.
+func write(w io.Writer, render func([]byte) []byte) {
+	buf := printBufs.Get().(*[]byte)
+	*buf = render((*buf)[:0])
+	_, _ = w.Write(*buf)
+	printBufs.Put(buf)
 }
 
 // WriteProc renders the whole procedure.
 func (pr *Printer) WriteProc(w io.Writer, p *Proc) {
-	fmt.Fprintf(w, "func %s(", p.Name)
-	for i, t := range p.Params {
-		if i > 0 {
-			fmt.Fprint(w, ", ")
-		}
-		fmt.Fprintf(w, "%s %s", p.TempName(t), p.TempClass(t))
-	}
-	fmt.Fprintln(w, ") {")
-	for _, b := range p.Blocks {
-		if b.Depth > 0 {
-			fmt.Fprintf(w, "%s:  ; depth=%d\n", b.Name, b.Depth)
-		} else {
-			fmt.Fprintf(w, "%s:\n", b.Name)
-		}
-		for i := range b.Instrs {
-			fmt.Fprintf(w, "    %s\n", pr.FormatInstr(p, b, &b.Instrs[i]))
-		}
-	}
-	fmt.Fprintln(w, "}")
+	write(w, func(buf []byte) []byte { return pr.appendProc(buf, p) })
 }
 
 // ProcString renders p with default options.
@@ -130,9 +160,5 @@ func ProcString(p *Proc) string {
 
 // WriteProgram renders every procedure in the program.
 func (pr *Printer) WriteProgram(w io.Writer, prog *Program) {
-	fmt.Fprintf(w, "program mem=%d main=%s\n", prog.MemWords, prog.Main)
-	for _, p := range prog.Procs {
-		fmt.Fprintln(w)
-		pr.WriteProc(w, p)
-	}
+	write(w, func(buf []byte) []byte { return pr.appendProgram(buf, prog) })
 }

@@ -31,6 +31,7 @@ import (
 type Allocator struct {
 	mach  *target.Machine
 	saves alloc.CalleeSaves
+	loops cfg.Scratch
 }
 
 // New returns a linear-scan allocator for the machine.
@@ -58,7 +59,7 @@ func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer)
 	res := &alloc.Result{Proc: p}
 	p.Renumber()
 	tm.Mark(&res.Stats, alloc.PhaseOther)
-	cfg.ComputeLoopDepths(p)
+	a.loops.ComputeLoopDepths(p)
 	tm.Mark(&res.Stats, alloc.PhaseCFG)
 
 	start := time.Now()

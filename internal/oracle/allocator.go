@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/alloc"
+	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/target"
@@ -21,6 +22,7 @@ type Allocator struct {
 	lim     Limits
 	profile *Profile
 	saves   alloc.CalleeSaves
+	loops   cfg.Scratch
 }
 
 // New returns an oracle allocator with DefaultLimits and static
@@ -52,7 +54,7 @@ func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer)
 	res := &alloc.Result{Proc: p}
 	start := time.Now()
 
-	plan := planProc(p, lv, a.mach, a.profile.FreqFunc(p.Name), a.lim)
+	plan := planProc(p, lv, a.mach, a.profile.FreqFunc(p.Name), a.lim, &a.loops)
 	tm.Mark(&res.Stats, alloc.PhaseScan)
 
 	res.Stats.Candidates = p.NumTemps()

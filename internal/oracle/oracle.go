@@ -159,10 +159,10 @@ func overlap(a, b []lifetime.Segment) bool {
 // planProc computes the minimum-spill-cost whole-lifetime assignment
 // for p under the given block-frequency function. p is mutated
 // (Renumber, loop depths); callers pass owned clones. lv is p's
-// liveness.
-func planProc(p *ir.Proc, lv *dataflow.Liveness, mach *target.Machine, freq func(*ir.Block) int64, lim Limits) *Plan {
+// liveness; loops is the caller's loop-analysis scratch.
+func planProc(p *ir.Proc, lv *dataflow.Liveness, mach *target.Machine, freq func(*ir.Block) int64, lim Limits, loops *cfg.Scratch) *Plan {
 	p.Renumber()
-	cfg.ComputeLoopDepths(p)
+	loops.ComputeLoopDepths(p)
 	lt := lifetime.Compute(p, lv)
 	rb := lifetime.ComputeRegBusy(p, mach)
 	w := spillWeights(p, freq)

@@ -30,7 +30,7 @@ type bruteItem struct {
 // false when the space is too large to enumerate.
 func bruteForce(p *ir.Proc, mach *target.Machine) (int64, int, bool) {
 	p.Renumber()
-	cfg.ComputeLoopDepths(p)
+	new(cfg.Scratch).ComputeLoopDepths(p)
 	lv := dataflow.Compute(p)
 	lt := lifetime.Compute(p, lv)
 	rb := lifetime.ComputeRegBusy(p, mach)
@@ -130,7 +130,7 @@ func TestBruteForceAgreement(t *testing.T) {
 				}
 				in := p.Clone()
 				in.Renumber()
-				plan := planProc(in, dataflow.Compute(in), mach, StaticFreq, DefaultLimits())
+				plan := planProc(in, dataflow.Compute(in), mach, StaticFreq, DefaultLimits(), new(cfg.Scratch))
 				if !plan.Proven {
 					t.Fatalf("%s/%s seed %d: tiny fixture not proven (items %d kernel %d nodes %d)",
 						mach.Name, p.Name, seed, plan.Items, plan.Kernel, plan.Nodes)
@@ -248,7 +248,7 @@ func TestWideMachineKernelizes(t *testing.T) {
 	for _, p := range prog.Procs {
 		in := p.Clone()
 		in.Renumber()
-		plan := planProc(in, dataflow.Compute(in), mach, StaticFreq, DefaultLimits())
+		plan := planProc(in, dataflow.Compute(in), mach, StaticFreq, DefaultLimits(), new(cfg.Scratch))
 		if plan.Kernel != 0 || !plan.Proven || plan.Cost != 0 || plan.Nodes != 0 {
 			t.Fatalf("%s: wide machine should kernelize fully: kernel %d cost %d proven %v nodes %d",
 				p.Name, plan.Kernel, plan.Cost, plan.Proven, plan.Nodes)
@@ -282,7 +282,7 @@ func TestProfileDirectsSpills(t *testing.T) {
 	for _, p := range prog.Procs {
 		in := p.Clone()
 		in.Renumber()
-		plan := planProc(in, dataflow.Compute(in), mach, StaticFreq, DefaultLimits())
+		plan := planProc(in, dataflow.Compute(in), mach, StaticFreq, DefaultLimits(), new(cfg.Scratch))
 		// Re-cost the static assignment under dynamic weights.
 		in2 := p.Clone()
 		in2.Renumber()

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"repro/internal/alloc"
+	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/target"
 	"repro/internal/vm"
@@ -66,9 +67,10 @@ func (pf *Profile) FreqFunc(proc string) func(*ir.Block) int64 {
 func OptimalCost(prog *ir.Program, mach *target.Machine, pf *Profile, lim Limits) (cost int64, proven bool) {
 	proven = true
 	var sc alloc.Scratch
+	var loops cfg.Scratch
 	for _, p := range prog.Procs {
 		in, lv := alloc.Prepare(p, &sc, nil)
-		plan := planProc(in, lv, mach, pf.FreqFunc(p.Name), lim)
+		plan := planProc(in, lv, mach, pf.FreqFunc(p.Name), lim, &loops)
 		cost += plan.Cost
 		if !plan.Proven {
 			proven = false

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -28,7 +30,11 @@ var fuzzAlgorithms = []string{"binpack", "twopass", "linearscan", "coloring"}
 // the server must not panic and must answer a body that fails to parse
 // or validate with a 4xx, never a 500. A body that does parse and
 // validate must get 200, and every result must carry the key and the
-// printed program that a direct Engine.AllocateCached gives.
+// printed program that a direct Engine.AllocateCached gives. A valid
+// body is sent three times (the miss, the first hit and, for a single
+// program, the alias hit), and the three answers must agree in every
+// result's key, program and report, the second and third from the
+// cache.
 func FuzzAllocateHTTP(f *testing.F) {
 	s, err := New(Config{Algorithms: fuzzAlgorithms, Workers: 2, Verify: true})
 	if err != nil {
@@ -70,6 +76,19 @@ func FuzzAllocateHTTP(f *testing.F) {
 			if err := json.Unmarshal(raw, &resp); err != nil {
 				t.Fatalf("%s: bad 200 body: %v", c.name, err)
 			}
+			for again := 1; again <= 2; again++ {
+				status, raw := fuzzPost(t, ts, c.ctype, c.query, c.body)
+				if status != http.StatusOK {
+					t.Fatalf("%s: valid body answered %d when sent again, want 200: %s", c.name, status, raw)
+				}
+				var hit AllocateResponse
+				if err := json.Unmarshal(raw, &hit); err != nil {
+					t.Fatalf("%s: bad 200 body when sent again: %v", c.name, err)
+				}
+				if d := diffAnswers(hit, resp); d != "" {
+					t.Fatalf("%s: answer %d differs from the first: %s", c.name, again+1, d)
+				}
+			}
 			if len(resp.Results) != len(c.want.progs) {
 				t.Fatalf("%s: %d results for %d programs", c.name, len(resp.Results), len(c.want.progs))
 			}
@@ -88,6 +107,32 @@ func FuzzAllocateHTTP(f *testing.F) {
 			}
 		}
 	})
+}
+
+// diffAnswers describes how hit, a repeated request's answer, differs
+// from first, the same request's first answer: every result must come
+// from the cache with first's key, program and report.
+func diffAnswers(hit, first AllocateResponse) string {
+	if len(hit.Results) != len(first.Results) {
+		return fmt.Sprintf("%d results, first had %d", len(hit.Results), len(first.Results))
+	}
+	for i, h := range hit.Results {
+		f := first.Results[i]
+		switch {
+		case !h.Cached || h.Report == nil || !h.Report.Cached:
+			return fmt.Sprintf("program %d not answered from the cache", i)
+		case h.Key != f.Key:
+			return fmt.Sprintf("program %d: key %s, first %s", i, h.Key, f.Key)
+		case h.Program != f.Program:
+			return fmt.Sprintf("program %d: program differs", i)
+		}
+		hr, fr := *h.Report, *f.Report
+		hr.Cached, fr.Cached = false, false
+		if !reflect.DeepEqual(hr, fr) {
+			return fmt.Sprintf("program %d: report %+v, first %+v", i, hr, fr)
+		}
+	}
+	return ""
 }
 
 // fuzzPost sends one body to /allocate and returns the status and the

@@ -21,8 +21,15 @@
 // same key and the same answer.
 //
 // Admitted requests wait for a worker in arrival order, and a client
-// that gives up while queued frees its place. The cache lives only in
-// memory: a restarted daemon starts cold.
+// that gives up while queued frees its place. A repeated single-program
+// request skips that wait: once its program has been answered from the
+// cache, the answer is kept under a key of the request's bytes (an
+// alias entry, regalloc.Engine.BytesKey), and a later request with the
+// same bytes is answered from it right after admission, without a
+// worker, a parse, a cache key, a decode or a print. Only entries that
+// were hit get an alias, so the printed text of never-repeated programs
+// is not kept. The cache lives only in memory: a restarted daemon
+// starts cold.
 //
 // The server is an http.Handler, so it embeds in tests (httptest) and
 // custom daemons alike; ListenAndServe and Shutdown add the production
@@ -58,8 +65,9 @@ type Config struct {
 	// Algorithms restricts the allocators served; empty means every
 	// registered one.
 	Algorithms []string
-	// CacheEntries bounds the content-addressed result cache: 0 selects
-	// regalloc.DefaultCacheEntries, negative disables caching.
+	// CacheEntries bounds the content-addressed result cache, alias
+	// entries included: 0 selects regalloc.DefaultCacheEntries,
+	// negative disables caching (and with it the alias hit path).
 	CacheEntries int
 	// Workers bounds concurrently executing allocation requests
 	// (0 = GOMAXPROCS).
@@ -213,7 +221,8 @@ type Server struct {
 
 	mu        sync.Mutex
 	engines   map[engineKey]*list.Element
-	engineLRU *list.List // front = most recently used
+	engineLRU *list.List        // front = most recently used
+	specs     map[string]string // machine as requested → its canonical Spec
 
 	slots   chan struct{} // admission: executing + queued
 	workers chan struct{} // executing
@@ -270,6 +279,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		engines:   make(map[engineKey]*list.Element),
 		engineLRU: list.New(),
+		specs:     make(map[string]string),
 		slots:     make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		workers:   make(chan struct{}, cfg.Workers),
 		start:     time.Now(),
@@ -357,6 +367,18 @@ func (s *Server) engine(machine, algorithm string) (*regalloc.Engine, *regalloc.
 			return nil, nil, fmt.Errorf("algorithm %q not served (have %v)", algorithm, s.cfg.Algorithms)
 		}
 	}
+	// A spelling seen before skips the parse and the Spec rendering,
+	// about 30 µs a request on x86-8, as much as hashing its body.
+	s.mu.Lock()
+	if spec, ok := s.specs[machine]; ok {
+		if el, ok := s.engines[engineKey{machineSpec: spec, algorithm: algorithm}]; ok {
+			s.engineLRU.MoveToFront(el)
+			e := el.Value.(*engineEntry).eng
+			s.mu.Unlock()
+			return e, e.Machine(), nil
+		}
+	}
+	s.mu.Unlock()
 	// Parse outside the lock (hostile specs are rejected here, bounded
 	// by target.MaxTinyRegs) and key the table by the machine's
 	// canonical Spec so alias spellings cannot multiply engines.
@@ -367,6 +389,14 @@ func (s *Server) engine(machine, algorithm string) (*regalloc.Engine, *regalloc.
 	key := engineKey{machineSpec: mach.Spec(), algorithm: algorithm}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The spelling table is bounded like the engine table: short
+	// spellings only, and it starts over when full.
+	if len(machine) <= maxSpellingLen {
+		if len(s.specs) >= 4*s.cfg.MaxEngines {
+			clear(s.specs)
+		}
+		s.specs[machine] = key.machineSpec
+	}
 	if el, ok := s.engines[key]; ok {
 		s.engineLRU.MoveToFront(el)
 		e := el.Value.(*engineEntry).eng
@@ -395,6 +425,10 @@ func (s *Server) engine(machine, algorithm string) (*regalloc.Engine, *regalloc.
 	}
 	return e, mach, nil
 }
+
+// maxSpellingLen bounds the machine spellings Server.engine remembers:
+// a valid spelling can be padded without limit ("tiny:0006,4").
+const maxSpellingLen = 64
 
 // engineParallelism is each engine's per-program procedure fan-out: one
 // keeps requests the unit of parallelism, which maximizes throughput
@@ -488,7 +522,11 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("no program in request"))
 		return
 	}
-	s.allocate(w, r, start, req.Machine, req.Algorithm, func(i int, mach *regalloc.Machine) (*ir.Program, bool, error) {
+	var alias []byte
+	if req.Program != "" {
+		alias = []byte(req.Program)
+	}
+	s.allocate(w, r, start, req.Machine, req.Algorithm, aliasText, alias, func(i int, mach *regalloc.Machine) (*ir.Program, bool, error) {
 		if i == len(texts) {
 			return nil, false, nil
 		}
@@ -523,8 +561,14 @@ func (s *Server) handleAllocateBinary(w http.ResponseWriter, r *http.Request) {
 			arenaPool.Put(arena)
 		}
 	}()
+	// Only a body of exactly one frame has an alias; a batch, or a
+	// frame followed by bytes that will not decode, takes the full path.
+	var alias []byte
+	if n, err := irbin.FrameSize(body); err == nil && n == len(body) {
+		alias = body
+	}
 	rest := body
-	s.allocate(w, r, start, q.Get("machine"), q.Get("algorithm"), func(int, *regalloc.Machine) (*ir.Program, bool, error) {
+	s.allocate(w, r, start, q.Get("machine"), q.Get("algorithm"), aliasBinary, alias, func(int, *regalloc.Machine) (*ir.Program, bool, error) {
 		if len(rest) == 0 {
 			return nil, false, nil
 		}
@@ -558,11 +602,22 @@ func (s *Server) failBody(w http.ResponseWriter, err error) {
 // it is answered 400.
 type nextProgram func(i int, mach *regalloc.Machine) (prog *ir.Program, ok bool, err error)
 
+// The body forms an alias key distinguishes: equal bytes parse to equal
+// programs only within one form.
+const (
+	aliasText   = "text"
+	aliasBinary = "binary"
+)
+
 // allocate is the part of POST /allocate both body forms share, run
-// once the body has been read: admission, the engine lookup, the wait
-// for a worker, and then, per program from next, validation, the cached
-// allocation and the printed result.
-func (s *Server) allocate(w http.ResponseWriter, r *http.Request, start time.Time, machine, algorithm string, next nextProgram) {
+// once the body has been read: admission, the engine lookup, the alias
+// probe, the wait for a worker, and then, per program from next,
+// validation, the cached allocation and the printed result. alias is
+// the program bytes of a single-program request in the given form (nil
+// for a batch): a request whose alias entry exists is answered from it
+// before the worker wait, and a single program answered from the cache
+// stores one.
+func (s *Server) allocate(w http.ResponseWriter, r *http.Request, start time.Time, machine, algorithm, form string, alias []byte, next nextProgram) {
 	switch s.admit() {
 	case admitDraining:
 		s.reqDraining.Add(1)
@@ -581,6 +636,26 @@ func (s *Server) allocate(w http.ResponseWriter, r *http.Request, start time.Tim
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
+	}
+
+	// The alias probe: the entry was made from these very bytes, which
+	// were validated and allocated then, so the stored answer stands.
+	// A probe that misses is not counted; the cache lookup below counts
+	// this program's one outcome.
+	var aliasKey regalloc.CacheKey
+	if alias != nil && s.cache != nil {
+		aliasKey = eng.BytesKey(form, alias)
+		if ent, ok := s.cache.Probe(aliasKey); ok {
+			s.account(ent.Report)
+			s.reqOK.Add(1)
+			writeJSON(w, http.StatusOK, AllocateResponse{
+				Machine:   machine,
+				Algorithm: eng.Algorithm(),
+				Results:   []AllocatedProgram{{Key: string(ent.Key), Cached: true, Program: ent.Printed, Report: ent.Report}},
+				ElapsedNs: time.Since(start).Nanoseconds(),
+			})
+			return
+		}
 	}
 
 	// Wait (queued) for a worker; the admission bound above caps how
@@ -631,6 +706,13 @@ func (s *Server) allocate(w http.ResponseWriter, r *http.Request, start time.Tim
 			Report:  rep,
 		})
 	}
+	// The first hit of a single program stores its alias. The report is
+	// AllocateCached's own copy, so the entry shares it with this reply,
+	// which only reads it.
+	if aliasKey != "" && len(resp.Results) == 1 && resp.Results[0].Cached {
+		res := resp.Results[0]
+		s.cache.Put(aliasKey, &regalloc.CachedAllocation{Key: regalloc.CacheKey(res.Key), Printed: res.Program, Report: res.Report})
+	}
 	resp.ElapsedNs = time.Since(start).Nanoseconds()
 	s.reqOK.Add(1)
 	writeJSON(w, http.StatusOK, resp)
@@ -659,7 +741,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.Metrics())
+	writeIndentedJSON(w, http.StatusOK, s.Metrics())
 }
 
 // Metrics samples the service counters.
@@ -707,7 +789,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]string{"status": status})
+	writeIndentedJSON(w, code, map[string]string{"status": status})
 }
 
 // configDoc is the GET /config document: what the daemon serves.
@@ -729,7 +811,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		cacheEntries = s.cache.Stats().Capacity
 	}
-	writeJSON(w, http.StatusOK, configDoc{
+	writeIndentedJSON(w, http.StatusOK, configDoc{
 		Machines:     target.PresetNames(),
 		Algorithms:   algos,
 		Workers:      s.cfg.Workers,
@@ -745,7 +827,18 @@ func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, ErrorResponse{Error: err.Error()})
 }
 
+// writeJSON writes v compactly, as every /allocate reply and every
+// error is written: programs read them, and indenting a reply's
+// printed program costs more than encoding it.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeIndentedJSON writes v indented, for the documents people read:
+// /metrics, /config and /healthz.
+func writeIndentedJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
