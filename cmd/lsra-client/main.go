@@ -85,6 +85,11 @@ func main() {
 			}
 			req.Programs = append(req.Programs, string(text))
 		}
+		// One file goes as a single program, which the daemon can answer
+		// from its alias entry on a repeat; a batch always takes a worker.
+		if len(req.Programs) == 1 {
+			req.Program, req.Programs = req.Programs[0], nil
+		}
 	}
 	body, err := json.Marshal(&req)
 	if err != nil {
