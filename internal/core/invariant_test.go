@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/bitset"
 	"repro/internal/cfg"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/lifetime"
 	"repro/internal/progs"
@@ -128,6 +130,130 @@ func TestScanBoundaryInvariants(t *testing.T) {
 				s.resolve(&sc)
 				s.release(&sc)
 			}
+		}
+	}
+}
+
+// convReuse reads a convention register twice in one block, first into
+// a temp whose value is dead (so its lifetime is a point, and the move
+// optimization may hand it the still-busy register) and redefined later.
+// Dead-code elimination would delete that first move, so the test below
+// allocates this procedure without it.
+const convReuse = `program mem=256 main=main
+
+func f(a int) {
+entry:
+    d = mov $r1
+    a = mov $r1
+    d = add a, 1
+    $r0 = mov d
+    ret
+}
+
+func main() {
+entry:
+    x = ldi 5
+    $r1 = mov x
+    $r0 = call @f($r1)
+    ret
+}
+`
+
+// presetCorpus is the golden corpus on m or, on a preset whose calling
+// convention cannot build the suite programs (narrow-1 has a single
+// integer parameter register), the generated programs, the Table 3
+// modules and Displacement, which every preset runs.
+func presetCorpus(m *target.Machine) (out map[string]*ir.Program) {
+	defer func() {
+		if recover() == nil {
+			return
+		}
+		out = map[string]*ir.Program{"displacement": progs.Displacement(m)}
+		for _, prof := range progs.Profiles() {
+			for seed := int64(1); seed <= 4; seed++ {
+				cfg, err := progs.ProfileGen(prof, seed)
+				if err != nil {
+					panic(err)
+				}
+				out[fmt.Sprintf("%s/%d", prof, seed)] = progs.Random(m, cfg)
+			}
+		}
+		for _, mod := range progs.Table3Modules(m) {
+			out[mod.Name] = mod.Prog
+		}
+	}()
+	return invariantCorpus(m)
+}
+
+// expiryCase is one procedure to scan: p renumbered, lv its liveness.
+type expiryCase struct {
+	name string
+	p    *ir.Proc
+	lv   *dataflow.Liveness
+}
+
+// TestExpiryLeavesNoBusyOccupant checks, after every instruction's
+// expiry step, that no occupied register is busy at the instruction's
+// position. This is what lets expire visit only the busy segments that
+// start there (plus every register after a move handed a destination
+// its busy convention register): a register held at pos can only have
+// become busy at a position the scan has visited. It runs the golden
+// corpus on every machine preset, and convReuse without dead-code
+// elimination, whose recheck is what evicts.
+func TestExpiryLeavesNoBusyOccupant(t *testing.T) {
+	var loops cfg.Scratch
+	for _, name := range append(target.PresetNames(), "tiny:4,2") {
+		mach, err := target.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cases []expiryCase
+		for pname, prog := range presetCorpus(mach) {
+			for _, orig := range prog.Procs {
+				p, lv := alloc.Prepare(orig, nil, &alloc.Stats{})
+				cases = append(cases, expiryCase{pname + "/" + p.Name, p, lv})
+			}
+		}
+		if name == "x86-8" {
+			prog, err := ir.ParseProgramString(convReuse, mach)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, orig := range prog.Procs {
+				p := orig.Clone()
+				p.Renumber()
+				cases = append(cases, expiryCase{"convReuse/" + p.Name, p, dataflow.Compute(p)})
+			}
+		}
+		var sc scanScratch // shared, as on one pooled Allocator
+		for _, c := range cases {
+			p := c.p
+			p.Renumber()
+			loops.ComputeLoopDepths(p)
+			rb := lifetime.ComputeRegBusy(p, mach)
+			s := newScan(p, mach, DefaultOptions(), c.lv, lifetime.Compute(p, c.lv), rb, &sc)
+			for _, b := range p.Blocks { // scan.block, checked between expire and instr
+				s.cur = b
+				s.startBlock(b)
+				lo := len(s.out)
+				for i := range b.Instrs {
+					in := &b.Instrs[i]
+					s.expire(in.Pos)
+					for r, tmp := range s.regOcc {
+						if tmp != ir.NoTemp && rb.BusyAt(target.Reg(r), in.Pos) {
+							t.Fatalf("%s %s: after expiry at %d, %s holds %s but is busy",
+								name, c.name, in.Pos, mach.RegName(target.Reg(r)), p.TempName(tmp))
+						}
+					}
+					if err := s.instr(in); err != nil {
+						t.Fatalf("%s %s: %v", name, c.name, err)
+					}
+				}
+				s.endBlock(b)
+				s.body[b.Order] = span{int32(lo), int32(len(s.out))}
+			}
+			s.resolve(&sc)
+			s.release(&sc)
 		}
 	}
 }

@@ -37,6 +37,18 @@ type scan struct {
 	lt   *lifetime.Table
 	rb   *lifetime.RegBusy
 
+	// Scan positions never decrease, so the per-instruction queries walk
+	// forward: busy answers BusyAt/NextBusy per register, starts[nextStart:]
+	// are the busy segments not yet begun, and segCur/refCur index each
+	// temp's first segment ending at or after, and first reference after,
+	// the last position asked. recheck asks the next instruction to test
+	// every occupied register for an expiring hole (see expire).
+	busy           *lifetime.Cursor
+	starts         []lifetime.BusyStart
+	nextStart      int
+	recheck        bool
+	segCur, refCur []int32
+
 	frame      *alloc.Frame
 	usedCallee []bool // register → used callee-saved
 
@@ -119,6 +131,10 @@ type scanScratch struct {
 	wroteCur   bitset.Set
 	usedCCur   bitset.Set
 	ubuf, dbuf []ir.Temp
+	busy       lifetime.Cursor
+	segCur     []int32
+	refCur     []int32
+	scan       scan // the scan itself, rebuilt by every newScan
 
 	// Resolution-phase (§2.4) working storage.
 	consSolver dataflow.SolverScratch
@@ -156,6 +172,9 @@ func newScan(p *ir.Proc, mach *target.Machine, opts Options, lv *dataflow.Livene
 	sc.regOcc = grow(sc.regOcc, nr)
 	sc.consistent = grow(sc.consistent, nt)
 	sc.consLocal = grow(sc.consLocal, nt)
+	sc.segCur = grow(sc.segCur, nt)
+	sc.refCur = grow(sc.refCur, nt)
+	sc.busy.Reset(rb)
 	sc.pinned = grow(sc.pinned, nr)
 	sc.usedCallee = grow(sc.usedCallee, nr)
 	sc.top = grow(sc.top, nb)
@@ -194,8 +213,13 @@ func newScan(p *ir.Proc, mach *target.Machine, opts Options, lv *dataflow.Livene
 	sc.origs = scratch.Grow(sc.origs, nOps)
 	sc.seq.Reset()
 
-	s := &scan{
+	s := &sc.scan
+	*s = scan{
 		p: p, mach: mach, opts: opts, lv: lv, lt: lt, rb: rb,
+		busy:       &sc.busy,
+		starts:     rb.Starts(),
+		segCur:     sc.segCur,
+		refCur:     sc.refCur,
 		frame:      &sc.frame,
 		usedCallee: sc.usedCallee,
 		loc:        sc.loc,
@@ -277,8 +301,10 @@ func (s *scan) block(b *ir.Block) error {
 	s.startBlock(b)
 	lo := len(s.out)
 	for i := range b.Instrs {
-		if err := s.instr(&b.Instrs[i]); err != nil {
-			return fmt.Errorf("block %s, %v at pos %d: %w", b.Name, b.Instrs[i].Op, b.Instrs[i].Pos, err)
+		in := &b.Instrs[i]
+		s.expire(in.Pos)
+		if err := s.instr(in); err != nil {
+			return fmt.Errorf("block %s, %v at pos %d: %w", b.Name, in.Op, in.Pos, err)
 		}
 	}
 	s.endBlock(b)
@@ -391,21 +417,46 @@ func (s *scan) unpinAll() {
 	s.pinnedList = s.pinnedList[:0]
 }
 
-// instr allocates and rewrites a single instruction. The procedure is
-// the pipeline's working copy, so operands are rewritten in place and
-// the Orig side tables come from the pooled arena — the instruction
-// costs no allocations of its own.
-func (s *scan) instr(in *ir.Instr) error {
-	pos := in.Pos
-
-	// Expire register holes (§2.5): any temporary squatting in a
-	// register that a convention needs at this point is evicted first
-	// (this is where temporaries leave caller-saved registers at calls).
-	for r := range s.regOcc {
-		if t := s.regOcc[r]; t != ir.NoTemp && s.rb.BusyAt(target.Reg(r), pos) {
+// expire evicts, ahead of the instruction at pos, every temporary
+// squatting in a register that a convention needs there (§2.5): this is
+// where temporaries leave caller-saved registers at calls. Evictions go
+// in register order. Every placement but one checks that the register is
+// not busy at its position, so a register held at pos can only be busy
+// there if one of its busy segments starts at pos: the busy starts at
+// pos name every register to evict. The exception is tryMoveOpt handing
+// a move's destination the convention register it reads, which is busy
+// at that move; it sets recheck, and the next instruction tests every
+// occupied register.
+func (s *scan) expire(pos int32) {
+	i := s.nextStart
+	for i < len(s.starts) && s.starts[i].Pos < pos {
+		i++
+	}
+	if s.recheck {
+		s.recheck = false
+		for i < len(s.starts) && s.starts[i].Pos == pos {
+			i++
+		}
+		for r, t := range s.regOcc {
+			if t != ir.NoTemp && s.busy.BusyAt(target.Reg(r), pos) {
+				s.evict(t, pos)
+			}
+		}
+	}
+	for ; i < len(s.starts) && s.starts[i].Pos == pos; i++ {
+		if t := s.regOcc[s.starts[i].Reg]; t != ir.NoTemp {
 			s.evict(t, pos)
 		}
 	}
+	s.nextStart = i
+}
+
+// instr allocates and rewrites a single instruction, after expire. The
+// procedure is the pipeline's working copy, so operands are rewritten in
+// place and the Orig side tables come from the pooled arena — the
+// instruction costs no allocations of its own.
+func (s *scan) instr(in *ir.Instr) error {
+	pos := in.Pos
 
 	// Record use/def temps before any in-place rewriting, and pin the
 	// registers of temporaries this instruction references so one
@@ -569,6 +620,7 @@ func (s *scan) tryMoveOpt(ni *ir.Instr, pos int32) bool {
 	dEnd := div.End()
 
 	var rs target.Reg
+	busyHere := false
 	if t := ni.OrigUses[0]; t != ir.NoTemp {
 		rs = ni.Uses[0].Reg // register the use was rewritten to
 		if occ := s.regOcc[rs]; occ != ir.NoTemp {
@@ -577,17 +629,20 @@ func (s *scan) tryMoveOpt(ni *ir.Instr, pos int32) bool {
 			if occ != t {
 				return false
 			}
-			if s.liveWithin(t, pos+1, dEnd) {
+			if s.liveAfter(t, pos, dEnd) {
 				return false
 			}
 		}
 	} else if ni.Uses[0].Kind == ir.KindReg {
 		// Parameter-style move from a convention register: usable when
 		// the register's own hole after this use covers d's lifetime.
+		// The register is busy at this move, so placing d in it leaves
+		// the next expire to check it (and every other) register.
 		rs = ni.Uses[0].Reg
 		if s.regOcc[rs] != ir.NoTemp {
 			return false
 		}
+		busyHere = true
 	} else {
 		return false
 	}
@@ -604,6 +659,7 @@ func (s *scan) tryMoveOpt(ni *ir.Instr, pos int32) bool {
 	}
 	s.regOcc[rs] = d
 	s.loc[d] = rs
+	s.recheck = s.recheck || busyHere
 	s.noteReg(rs)
 	s.markWrite(d)
 	ni.Defs[0] = ir.RegOp(rs)
@@ -611,15 +667,49 @@ func (s *scan) tryMoveOpt(ni *ir.Instr, pos int32) bool {
 	return true
 }
 
-// liveWithin reports whether t has any live position in [from, to].
-func (s *scan) liveWithin(t ir.Temp, from, to int32) bool {
-	iv := s.iv(t)
-	for _, seg := range iv.Segments {
-		if seg.End >= from && seg.Start <= to {
+// liveAfter reports whether t has any live position in [pos+1, to].
+func (s *scan) liveAfter(t ir.Temp, pos, to int32) bool {
+	segs := s.iv(t).Segments
+	for i := s.segAt(t, pos); i < len(segs) && segs[i].Start <= to; i++ {
+		if segs[i].End > pos {
 			return true
 		}
 	}
 	return false
+}
+
+// segAt returns the index of t's first live segment ending at or after
+// pos (len(Segments) past the last), advancing t's cursor to it: the
+// scan asks at non-decreasing positions.
+func (s *scan) segAt(t ir.Temp, pos int32) int {
+	segs := s.iv(t).Segments
+	i := s.segCur[t]
+	for int(i) < len(segs) && segs[i].End < pos {
+		i++
+	}
+	s.segCur[t] = i
+	return int(i)
+}
+
+// liveAt is Interval.LiveAt by t's segment cursor.
+func (s *scan) liveAt(t ir.Temp, pos int32) bool {
+	segs := s.iv(t).Segments
+	i := s.segAt(t, pos)
+	return i < len(segs) && segs[i].Start <= pos
+}
+
+// nextRefAfter is Interval.NextRefAfter by t's reference cursor.
+func (s *scan) nextRefAfter(t ir.Temp, pos int32) *lifetime.Ref {
+	refs := s.iv(t).Refs
+	i := s.refCur[t]
+	for int(i) < len(refs) && refs[i].Pos <= pos {
+		i++
+	}
+	s.refCur[t] = i
+	if int(i) == len(refs) {
+		return nil
+	}
+	return &refs[i]
 }
 
 // ensure places t in a register at pos, reloading from its memory home if
@@ -678,36 +768,20 @@ func (s *scan) noteReg(r target.Reg) {
 // register whose hole ends at the loop's call site even when that call
 // lies at a smaller linear position).
 func (s *scan) sufficientFrom(r target.Reg, t ir.Temp, from int32) bool {
-	iv := s.iv(t)
-	if iv.Empty() {
-		return true
-	}
-	for _, seg := range iv.Segments {
-		if seg.End < from {
-			continue
-		}
-		lo := seg.Start
-		if lo < from {
-			lo = from
-		}
-		if !s.rb.FreeThrough(r, lo, seg.End) {
-			return false
-		}
-	}
-	return true
+	return s.rb.FreeOver(r, s.iv(t).Segments, from, s.busy.Index(r))
 }
 
-// fitStart returns the first position the hole-sufficiency test must
-// cover for t when allocating at pos: the start of the live segment
-// containing pos (any of whose positions a loop may revisit), or pos
-// itself when pos falls in a lifetime hole.
-func (s *scan) fitStart(t ir.Temp, pos int32) int32 {
-	for _, seg := range s.iv(t).Segments {
-		if seg.Start <= pos && pos <= seg.End {
-			return seg.Start
-		}
+// fitSegs returns what the hole-sufficiency test must cover for t when
+// allocating at pos: t's segments from the one containing or following
+// pos, and the first position to cover, which is the start of the live
+// segment containing pos (any of whose positions a loop may revisit), or
+// pos itself when pos falls in a lifetime hole.
+func (s *scan) fitSegs(t ir.Temp, pos int32) ([]lifetime.Segment, int32) {
+	segs := s.iv(t).Segments[s.segAt(t, pos):]
+	if len(segs) > 0 && segs[0].Start <= pos {
+		return segs, segs[0].Start
 	}
-	return pos
+	return segs, pos
 }
 
 // findFree picks a free register for t at pos: the smallest sufficient
@@ -716,18 +790,21 @@ func (s *scan) fitStart(t ir.Temp, pos int32) int32 {
 // Ties among sufficient holes prefer a register that costs nothing extra
 // (an already-used callee-saved over a fresh one).
 func (s *scan) findFree(c target.Class, t ir.Temp, pos int32, sufficientOnly bool) (target.Reg, bool) {
-	from := s.fitStart(t, pos)
+	segs, from := s.fitSegs(t, pos)
 	bestSuff := target.NoReg
 	bestSuffNext := int32(math.MaxInt32)
 	bestSuffFresh := false
 	bestInsuff := target.NoReg
 	bestInsuffNext := int32(-1)
 	for _, r := range s.mach.AllocOrder(c) {
-		if s.pinned[r] || s.regOcc[r] != ir.NoTemp || s.rb.BusyAt(r, pos) {
+		if s.pinned[r] || s.regOcc[r] != ir.NoTemp {
 			continue
 		}
-		nb := s.rb.NextBusy(r, pos)
-		if s.sufficientFrom(r, t, from) {
+		nb := s.busy.NextBusy(r, pos)
+		if nb == pos {
+			continue // busy now
+		}
+		if s.rb.FreeOver(r, segs, from, s.busy.Index(r)) {
 			fresh := !s.mach.CallerSaved(r) && !s.usedCallee[r]
 			if nb < bestSuffNext || (nb == bestSuffNext && bestSuffFresh && !fresh) {
 				bestSuff, bestSuffNext, bestSuffFresh = r, nb, fresh
@@ -767,10 +844,8 @@ func (s *scan) chooseVictim(c target.Class, pos int32) ir.Temp {
 }
 
 func (s *scan) victimPriority(u ir.Temp, pos int32) (prio float64, needsStore bool) {
-	iv := s.iv(u)
-	live := iv.LiveAt(pos)
-	needsStore = live && !s.consistent[u]
-	ref := iv.NextRefAfter(pos)
+	needsStore = !s.consistent[u] && s.liveAt(u, pos)
+	ref := s.nextRefAfter(u, pos)
 	if ref == nil {
 		return math.Inf(-1), false // past its last reference: free win
 	}
@@ -780,14 +855,14 @@ func (s *scan) victimPriority(u ir.Temp, pos int32) (prio float64, needsStore bo
 	}
 	weight := 1.0
 	if s.opts.Heuristic == HeuristicWeighted {
-		d := ref.Depth
-		if d > 8 {
-			d = 8
-		}
-		weight = math.Pow(10, float64(d))
+		weight = depthWeight[min(ref.Depth, 8)]
 	}
 	return weight / dist, needsStore
 }
+
+// depthWeight[d] is 10^d, the §2.3 weight of a reference at loop depth d
+// (deeper references weigh as depth 8).
+var depthWeight = [9]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 
 // free releases t's register at the end of its lifetime.
 func (s *scan) free(t ir.Temp) {
@@ -827,8 +902,7 @@ func (s *scan) evict(u ir.Temp, pos int32) {
 	s.regOcc[r] = ir.NoTemp
 	s.loc[u] = target.NoReg
 
-	iv := s.iv(u)
-	if !iv.LiveAt(pos) {
+	if !s.liveAt(u, pos) {
 		// In a lifetime hole (or past the end): "a store is not needed
 		// since the next reference will overwrite the current value".
 		s.consistent[u] = false

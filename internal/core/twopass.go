@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/alloc"
@@ -46,13 +47,19 @@ func (a *Allocator) twoPass(p *ir.Proc, lt *lifetime.Table, rb *lifetime.RegBusy
 
 	usedCallee := grow(a.scratch.usedCallee, a.mach.NumRegs())
 	a.scratch.usedCallee = usedCallee
+	// A lifetime fits a register when its live segments avoid the
+	// register's hard-busy points (convention references and, for
+	// caller-saved registers, call clobbers) — this is what shuts
+	// temporaries that are live across calls out of the caller-saved
+	// file under two-pass binpacking, the effect behind the paper's wc
+	// result — and the lifetimes already packed into it.
 	for _, iv := range order {
 		cls := p.TempClass(iv.Temp)
 		for _, r := range a.mach.AllocOrder(cls) {
 			if reserved[r] {
 				continue
 			}
-			if !regFits(rb, r, iv) || !packFits(packed[r], iv) {
+			if !rb.FreeOver(r, iv.Segments, math.MinInt32, 0) || !packFits(packed[r], iv) {
 				continue
 			}
 			asn.Reg[iv.Temp] = r
@@ -68,20 +75,6 @@ func (a *Allocator) twoPass(p *ir.Proc, lt *lifetime.Table, rb *lifetime.RegBusy
 	frame := &a.scratch.frame
 	alloc.RewriteAssigned(p, a.mach, asn, frame, scratch, usedCallee)
 	return frame, usedCallee, nil
-}
-
-// regFits reports whether every live segment of iv avoids the register's
-// hard-busy points (convention references and, for caller-saved
-// registers, call clobbers). This is what shuts temporaries that are live
-// across calls out of the caller-saved file under two-pass binpacking —
-// the effect behind the paper's wc result.
-func regFits(rb *lifetime.RegBusy, r target.Reg, iv *lifetime.Interval) bool {
-	for _, seg := range iv.Segments {
-		if !rb.FreeThrough(r, seg.Start, seg.End) {
-			return false
-		}
-	}
-	return true
 }
 
 // packFits reports whether iv's segments are disjoint from every lifetime

@@ -128,6 +128,7 @@ type Scratch struct {
 	tab        Table
 	backing    []Interval
 	openEnd    []int32
+	opened     []ir.Temp // temps whose segment opened in the current block
 	ubuf, dbuf []ir.Temp
 }
 
@@ -174,7 +175,10 @@ func (sc *Scratch) Compute(p *ir.Proc, lv *dataflow.Liveness) *Table {
 		openEnd[i] = -1
 	}
 	// Segments are appended in reverse order and reversed at the end.
-	ubuf, dbuf := sc.ubuf, sc.dbuf
+	// opened lists every temp whose segment opened in the current block
+	// (a temp reopened after a def appears twice), so the block top
+	// closes what the block opened instead of visiting every temp.
+	ubuf, dbuf, opened := sc.ubuf, sc.dbuf, sc.opened[:0]
 
 	for bi := len(p.Blocks) - 1; bi >= 0; bi-- {
 		b := p.Blocks[bi]
@@ -188,6 +192,7 @@ func (sc *Scratch) Compute(p *ir.Proc, lv *dataflow.Liveness) *Table {
 		lv.LiveOut[b.Order].ForEach(func(gi int) {
 			t := lv.Globals[gi]
 			openEnd[t] = blockEnd
+			opened = append(opened, t)
 		})
 
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
@@ -212,6 +217,7 @@ func (sc *Scratch) Compute(p *ir.Proc, lv *dataflow.Liveness) *Table {
 			for _, t := range ubuf {
 				if openEnd[t] < 0 {
 					openEnd[t] = pos
+					opened = append(opened, t)
 				}
 			}
 		}
@@ -220,12 +226,13 @@ func (sc *Scratch) Compute(p *ir.Proc, lv *dataflow.Liveness) *Table {
 		// continues into the linearly previous block is decided when
 		// that block opens segments for its live-out set; adjacent
 		// segments merge in appendSegRev.
-		for t := 0; t < nt; t++ {
+		for _, t := range opened {
 			if openEnd[t] >= 0 {
 				appendSegRev(tab.Intervals[t], Segment{blockStart, openEnd[t]})
 				openEnd[t] = -1
 			}
 		}
+		opened = opened[:0]
 	}
 
 	// Segments were collected in reverse; restore forward order.
@@ -251,7 +258,7 @@ func (sc *Scratch) Compute(p *ir.Proc, lv *dataflow.Liveness) *Table {
 			}
 		}
 	}
-	sc.ubuf, sc.dbuf = ubuf, dbuf
+	sc.ubuf, sc.dbuf, sc.opened = ubuf, dbuf, opened
 	return tab
 }
 
@@ -287,20 +294,31 @@ func addRef(iv *Interval, pos int32, use, def bool, depth int32) {
 // register is unavailable to the allocator: explicit convention
 // references and (for caller-saved registers) call sites. The complement
 // of these intervals is the register's lifetime holes in the sense of
-// §2.5.
+// §2.5. BusyAt, NextBusy and FreeThrough answer random-access queries by
+// binary search; a scan whose positions never decrease asks a Cursor
+// instead, and walks the busy segment starts (Starts) as events.
 type RegBusy struct {
-	mach *target.Machine
-	segs [][]Segment // indexed by Reg
+	mach   *target.Machine
+	segs   [][]Segment // indexed by Reg
+	starts []BusyStart
+}
+
+// BusyStart is the first position of one busy segment of Reg.
+type BusyStart struct {
+	Pos int32
+	Reg target.Reg
 }
 
 // RegScratch holds the reusable working storage of ComputeRegBusy. As
 // with Scratch, the RegBusy a Compute returns is owned by the scratch
 // and valid until the next Compute on it; per-register segment arrays
-// keep their capacity across calls. The zero value is ready to use.
+// and the start list keep their capacity across calls. The zero value
+// is ready to use.
 type RegScratch struct {
 	rb          RegBusy
 	callerSaved []target.Reg
 	openEnd     []int32
+	perPos      []int32 // busy segment starts per position, then offsets
 	ubuf, dbuf  []target.Reg
 }
 
@@ -384,8 +402,36 @@ func (sc *RegScratch) Compute(p *ir.Proc, mach *target.Machine) *RegBusy {
 			s[i], s[j] = s[j], s[i]
 		}
 	}
+	sc.perPos = rb.sortStarts(sc.perPos, p.NumInstrs())
 	sc.ubuf, sc.dbuf = ubuf, dbuf
 	return rb
+}
+
+// sortStarts fills rb.starts with the first position of every busy
+// segment, ordered by position and, at one position, by register: a
+// counting sort over the numPos positions, with perPos as its pooled
+// count array (returned for reuse).
+func (rb *RegBusy) sortStarts(perPos []int32, numPos int) []int32 {
+	perPos = scratch.Grow(perPos, numPos+1)
+	clear(perPos)
+	n := 0
+	for _, segs := range rb.segs {
+		for _, s := range segs {
+			perPos[s.Start+1]++
+		}
+		n += len(segs)
+	}
+	for i := 1; i < len(perPos); i++ {
+		perPos[i] += perPos[i-1] // perPos[pos] is now the first slot of pos
+	}
+	rb.starts = scratch.Grow(rb.starts, n)
+	for r, segs := range rb.segs {
+		for _, s := range segs {
+			rb.starts[perPos[s.Start]] = BusyStart{s.Start, target.Reg(r)}
+			perPos[s.Start]++
+		}
+	}
+	return perPos
 }
 
 func (rb *RegBusy) addRev(r target.Reg, s Segment) {
@@ -430,3 +476,106 @@ func (rb *RegBusy) NextBusy(r target.Reg, pos int32) int32 {
 func (rb *RegBusy) FreeThrough(r target.Reg, from, to int32) bool {
 	return rb.NextBusy(r, from) > to
 }
+
+// Starts returns the first position of every busy segment, ordered by
+// position and then by register. A register can only become busy at one
+// of these positions, so a scan that never places a temporary in a
+// register busy at the current position finds every register whose hole
+// expires there in this list.
+func (rb *RegBusy) Starts() []BusyStart { return rb.starts }
+
+// FreeOver reports whether r is free over every position of segs (a
+// temporary's live segments) at or after from: FreeThrough for each
+// segment clipped to [from, End], in one merged walk of segs and r's
+// busy segments. hint is any index into r's busy segments (a Cursor's
+// Index, or 0); the walk steps back from it while the previous busy
+// segment still reaches from, so a hint past from costs only the
+// segments in between.
+func (rb *RegBusy) FreeOver(r target.Reg, segs []Segment, from int32, hint int) bool {
+	busy := rb.segs[r]
+	j := min(hint, len(busy))
+	for j > 0 && busy[j-1].End >= from {
+		j--
+	}
+	if j == len(busy) {
+		return true
+	}
+	i := 0 // segs' first segment ending at or after from
+	if len(segs) > 0 && segs[0].End < from {
+		i = sort.Search(len(segs), func(k int) bool { return segs[k].End >= from })
+	}
+	for i < len(segs) && j < len(busy) {
+		lo := max(segs[i].Start, from)
+		switch {
+		case busy[j].End < lo:
+			j++
+		case busy[j].Start > segs[i].End:
+			i++
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// Cursor answers BusyAt and NextBusy for positions that never decrease,
+// in amortized constant time: it keeps, per register, the index of the
+// first busy segment that ends at or after the last position asked, and
+// a copy of that segment, so a query that does not move past it reads
+// one small array. The zero value is unusable; Reset it on a RegBusy. A
+// Cursor's arrays keep their capacity across Resets.
+type Cursor struct {
+	rb  *RegBusy
+	idx []int32
+	cur []Segment // segs[r][idx[r]], or never-busy past the last one
+}
+
+// never is a busy segment beyond every position.
+var never = Segment{1 << 30, 1 << 30}
+
+// Reset points c at rb's registers, at their first segment.
+func (c *Cursor) Reset(rb *RegBusy) {
+	c.rb = rb
+	c.idx = scratch.Grow(c.idx, len(rb.segs))
+	c.cur = scratch.Grow(c.cur, len(rb.segs))
+	for r, segs := range rb.segs {
+		c.idx[r] = 0
+		c.cur[r] = never
+		if len(segs) > 0 {
+			c.cur[r] = segs[0]
+		}
+	}
+}
+
+// Index returns r's index after the last query on r: a FreeOver hint.
+func (c *Cursor) Index(r target.Reg) int { return int(c.idx[r]) }
+
+// NextBusy is RegBusy.NextBusy for a pos no smaller than any earlier
+// query on r.
+func (c *Cursor) NextBusy(r target.Reg, pos int32) int32 {
+	s := c.cur[r]
+	if s.End < pos {
+		s = c.advance(r, pos)
+	}
+	return max(s.Start, pos)
+}
+
+// advance moves r's index to its first busy segment ending at or after
+// pos and returns that segment (never past the last).
+func (c *Cursor) advance(r target.Reg, pos int32) Segment {
+	segs := c.rb.segs[r]
+	i := c.idx[r]
+	for int(i) < len(segs) && segs[i].End < pos {
+		i++
+	}
+	c.idx[r] = i
+	c.cur[r] = never
+	if int(i) < len(segs) {
+		c.cur[r] = segs[i]
+	}
+	return c.cur[r]
+}
+
+// BusyAt is RegBusy.BusyAt for a pos no smaller than any earlier query
+// on r.
+func (c *Cursor) BusyAt(r target.Reg, pos int32) bool { return c.NextBusy(r, pos) == pos }

@@ -193,6 +193,7 @@ func TestRegBusy(t *testing.T) {
 	if nb := rb.NextBusy(a0, callPos+1); nb <= callPos {
 		t.Fatal("NextBusy went backwards")
 	}
+	checkStarts(t, rb)
 }
 
 func TestLiveAtAndEmpty(t *testing.T) {
