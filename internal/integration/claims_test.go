@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dataflow"
@@ -131,7 +132,10 @@ func TestClaimMoveOptMatters(t *testing.T) {
 
 // TestClaimColoringDegradesOnLargeModules — Table 3 — coloring's
 // allocation time grows far faster than binpacking's between the small
-// and the large module.
+// and the large module. Each time is the fastest of several runs, since
+// load on the machine only ever adds to a wall-clock sample; a single
+// sample of the small modules (a few hundred microseconds for
+// binpacking) can otherwise swing either growth by several times.
 func TestClaimColoringDegradesOnLargeModules(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiment harness")
@@ -140,28 +144,34 @@ func TestClaimColoringDegradesOnLargeModules(t *testing.T) {
 	small := progs.BuildModule(mach, "small", 4, 250, 1)
 	large := progs.BuildModule(mach, "large", 1, 5000, 2)
 
+	const runs = 3
 	timeFor := func(mod *progs.Module, coloring bool) float64 {
-		var total float64
 		a := experiments.Binpack(mach)
 		if coloring {
 			a = experiments.GraphColoring(mach)
 		}
-		for _, p := range mod.Prog.Procs {
-			if p.Name == "main" {
-				continue
+		best := math.Inf(1)
+		for range runs {
+			var total float64
+			for _, p := range mod.Prog.Procs {
+				if p.Name == "main" {
+					continue
+				}
+				c := p.Clone()
+				c.Renumber()
+				res, err := a.Allocate(c, dataflow.Compute(c), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += res.Stats.AllocTime.Seconds()
 			}
-			c := p.Clone()
-			c.Renumber()
-			res, err := a.Allocate(c, dataflow.Compute(c), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += res.Stats.AllocTime.Seconds()
+			best = min(best, total)
 		}
-		return total
+		return best
 	}
 	gcGrowth := timeFor(large, true) / timeFor(small, true)
 	bpGrowth := timeFor(large, false) / timeFor(small, false)
+	t.Logf("small → large growth: coloring %.1f×, binpacking %.1f×", gcGrowth, bpGrowth)
 	if gcGrowth < 2*bpGrowth {
 		t.Errorf("coloring growth %.1f× not clearly worse than binpacking growth %.1f×",
 			gcGrowth, bpGrowth)
