@@ -85,9 +85,8 @@ func (e *Engine) Cache() *ResultCache { return e.cache }
 
 // keyHead renders what every key of the engine hashes first: each
 // engine knob that affects the allocated output, and the machine spec.
-// Parallelism and phase profiling are excluded: results are
-// deterministic regardless of the worker count, and profiling only
-// annotates the report. New renders it once.
+// Parallelism is excluded: results are deterministic regardless of the
+// worker count. New renders it once.
 func (e *Engine) keyHead() []byte {
 	return fmt.Appendf(nil, "algo=%s fwdstores=%t verify=%t\n%s\n",
 		e.algorithm, e.pipe.ForwardStores, e.pipe.Verify, e.mach.Spec())

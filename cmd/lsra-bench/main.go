@@ -10,20 +10,20 @@
 //	lsra-bench -quality    spill-traffic gap vs the oracle optimum
 //	lsra-bench -alloc      per-benchmark engine allocation reports
 //	lsra-bench -all        all of the above
-//	lsra-bench -corpus     binary-codec decode ladder (not part of -all)
 //
 // End-to-end throughput of the serving, corpus and engine workloads is
 // not measured here: benchmark/run.sh measures it (BENCHMARK.json), and
 // the perf observatory reads its result lines from the `benchmark`
-// section of a stamped document.
+// section of a stamped document. Corpus decode is timed by the
+// corpus-batch workload, and BenchmarkCorpusDecodeSteadyState holds its
+// zero allocations per program under benchguard.
 //
 // Use -scale to shrink or grow the workloads (1.0 reproduces the default
 // experiment size). With -json, every selected section is emitted as one
 // machine-readable JSON object on stdout (the shape BENCH_*.json files
 // track; the CI bench job uploads it as an artifact); -alloc sections
 // carry the engine's aggregate Report including its per-phase PhaseStats
-// breakdown and batch heap counters. -phases additionally samples heap
-// allocations at every phase boundary (engine WithPhaseProfile).
+// breakdown.
 //
 // Every -json document is stamped with a `meta` header (schema_version,
 // commit SHA — best-effort `git rev-parse HEAD`, overridable with
@@ -65,10 +65,6 @@ type benchOutput struct {
 	Sweep []experiments.SweepPoint `json:"sweep,omitempty"`
 	// Allocation holds one engine Report per suite benchmark.
 	Allocation []allocReport `json:"allocation,omitempty"`
-	// Corpus is the binary-codec throughput ladder: mmap'd corpus
-	// decode rates per rung. Not part of -all: rung sizes make its
-	// runtime an explicit choice.
-	Corpus *corpusBench `json:"corpus,omitempty"`
 	// Quality is the quality frontier: per-allocator spill-traffic gap
 	// vs the oracle optimum over the default quality grid, with pair
 	// envelopes enforced.
@@ -103,34 +99,27 @@ func resolveCommit(override string) string {
 
 func main() {
 	var (
-		t1          = flag.Bool("table1", false, "regenerate Table 1")
-		t2          = flag.Bool("table2", false, "regenerate Table 2")
-		f3          = flag.Bool("figure3", false, "regenerate Figure 3 data")
-		t3          = flag.Bool("table3", false, "regenerate Table 3")
-		abl         = flag.Bool("ablation", false, "run the two-pass and feature ablations")
-		sweep       = flag.Bool("sweep", false, "registers-vs-quality sweep across machine shapes")
-		sweepB      = flag.String("sweep-bench", "eqntott", "benchmark the -sweep runs")
-		corpusF     = flag.Bool("corpus", false, "binary-codec throughput ladder over an mmap'd corpus (excluded from -all)")
-		corpusFile  = flag.String("corpus-file", "", "existing corpus file, shard-set base, or glob (empty = generate a temporary set)")
-		corpusprogs = flag.Int("corpus-programs", 20000, "distinct programs in the generated corpus")
-		corpusShard = flag.Int("corpus-shards", 4, "shard-set members when generating a corpus")
-		corpusRungs = flag.String("corpus-rungs", "100000,1000000,10000000,100000000", "comma-separated ladder rung sizes")
-		corpusWork  = flag.Int("corpus-workers", 0, "ladder workers (0 = GOMAXPROCS)")
-		qualityF    = flag.Bool("quality", false, "quality frontier: spill-traffic gap vs the oracle optimum, envelopes enforced")
-		allocF      = flag.Bool("alloc", false, "per-benchmark engine allocation reports")
-		all         = flag.Bool("all", false, "run everything")
-		scale       = flag.Float64("scale", 1.0, "workload scale multiplier")
-		jsonOut     = flag.Bool("json", false, "emit the selected sections as JSON")
-		algo        = flag.String("algo", "binpack", "allocator for -alloc reports")
-		jobs        = flag.Int("jobs", 0, "parallel workers for -alloc (0 = all CPUs)")
-		phases      = flag.Bool("phases", false, "sample per-phase heap allocations in -alloc reports")
-		commit      = flag.String("commit", "", "commit `sha` to stamp (default: git rev-parse HEAD)")
+		t1       = flag.Bool("table1", false, "regenerate Table 1")
+		t2       = flag.Bool("table2", false, "regenerate Table 2")
+		f3       = flag.Bool("figure3", false, "regenerate Figure 3 data")
+		t3       = flag.Bool("table3", false, "regenerate Table 3")
+		abl      = flag.Bool("ablation", false, "run the two-pass and feature ablations")
+		sweep    = flag.Bool("sweep", false, "registers-vs-quality sweep across machine shapes")
+		sweepB   = flag.String("sweep-bench", "eqntott", "benchmark the -sweep runs")
+		qualityF = flag.Bool("quality", false, "quality frontier: spill-traffic gap vs the oracle optimum, envelopes enforced")
+		allocF   = flag.Bool("alloc", false, "per-benchmark engine allocation reports")
+		all      = flag.Bool("all", false, "run everything")
+		scale    = flag.Float64("scale", 1.0, "workload scale multiplier")
+		jsonOut  = flag.Bool("json", false, "emit the selected sections as JSON")
+		algo     = flag.String("algo", "binpack", "allocator for -alloc reports")
+		jobs     = flag.Int("jobs", 0, "parallel workers for -alloc (0 = all CPUs)")
+		commit   = flag.String("commit", "", "commit `sha` to stamp (default: git rev-parse HEAD)")
 	)
 	flag.Parse()
 	if *all {
 		*t1, *t2, *f3, *t3, *abl, *sweep, *allocF, *qualityF = true, true, true, true, true, true, true, true
 	}
-	if !*t1 && !*t2 && !*f3 && !*t3 && !*abl && !*sweep && !*allocF && !*corpusF && !*qualityF {
+	if !*t1 && !*t2 && !*f3 && !*t3 && !*abl && !*sweep && !*allocF && !*qualityF {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -178,40 +167,15 @@ func main() {
 			die(err)
 		}
 	}
-	if *corpusF {
-		rungs, err := parseRungs(*corpusRungs)
-		if err != nil {
-			die(err)
-		}
-		if out.Corpus, err = runCorpusBench(corpusOpts{
-			Path:     *corpusFile,
-			Programs: *corpusprogs,
-			Shards:   *corpusShard,
-			Rungs:    rungs,
-			Workers:  *corpusWork,
-		}); err != nil {
-			die(err)
-		}
-	}
 	if *qualityF {
 		if out.Quality, err = runQualityBench(*scale, *jobs); err != nil {
 			die(err)
 		}
 	}
 	if *allocF {
-		jobsN := *jobs
-		if *phases && jobsN != 1 {
-			// Heap counters are process-global: exact per-phase alloc
-			// attribution needs a single worker.
-			if jobsN != 0 {
-				fmt.Fprintf(os.Stderr, "lsra-bench: -phases forces -jobs 1 (was %d); wall times are serial\n", jobsN)
-			}
-			jobsN = 1
-		}
 		eng, err := regalloc.New(mach,
 			regalloc.WithAlgorithm(*algo),
-			regalloc.WithParallelism(jobsN),
-			regalloc.WithPhaseProfile(*phases))
+			regalloc.WithParallelism(*jobs))
 		if err != nil {
 			die(err)
 		}
@@ -315,23 +279,6 @@ func printText(out *benchOutput) {
 		fmt.Println()
 	}
 
-	if out.Corpus != nil {
-		cb := out.Corpus
-		fmt.Println("Corpus: binary-codec throughput ladder (mmap'd corpus, zero-copy decode)")
-		fmt.Printf("  corpus: %d distinct programs over %d shards, %.1f MiB (%.0f bytes/program), %d workers\n",
-			cb.CorpusPrograms, cb.Shards, float64(cb.CorpusBytes)/(1<<20),
-			float64(cb.CorpusBytes)/float64(max(cb.CorpusPrograms, 1)), cb.Workers)
-		fmt.Println("  ladder (decode only, no register allocation):")
-		fmt.Printf("%12s %14s %16s %12s %12s\n",
-			"programs", "elapsed", "programs/sec", "MB/sec", "allocs/prog")
-		for _, rg := range cb.Rungs {
-			fmt.Printf("%12d %14v %16.0f %12.1f %12.4f\n",
-				rg.Programs, time.Duration(rg.ElapsedNs).Round(time.Millisecond),
-				rg.ProgramsPerSec, rg.MBPerSec, rg.AllocsPerProgram)
-		}
-		fmt.Println()
-	}
-
 	if out.Quality != nil {
 		printQuality(out.Quality)
 	}
@@ -339,14 +286,13 @@ func printText(out *benchOutput) {
 	if out.Allocation != nil {
 		fmt.Println("Allocation: engine aggregate per benchmark (rss is the process")
 		fmt.Println("high-water mark at that point; cpu/gc columns are per-run deltas)")
-		fmt.Printf("%-12s %-12s %8s %12s %10s %12s %12s\n",
-			"benchmark", "algorithm", "procs", "candidates", "spilled", "wall", "heap-allocs")
+		fmt.Printf("%-12s %-12s %8s %12s %10s %12s\n",
+			"benchmark", "algorithm", "procs", "candidates", "spilled", "wall")
 		for _, ar := range out.Allocation {
 			rep := ar.Report
-			fmt.Printf("%-12s %-12s %8d %12d %10d %12v %12d\n",
+			fmt.Printf("%-12s %-12s %8d %12d %10d %12v\n",
 				ar.Benchmark, rep.Algorithm, len(rep.Procs),
-				rep.Totals.Candidates, rep.Totals.SpilledTemps, rep.WallTime.Round(0),
-				rep.HeapAllocs)
+				rep.Totals.Candidates, rep.Totals.SpilledTemps, rep.WallTime.Round(0))
 			if len(rep.PhaseStats) > 0 {
 				fmt.Printf("    phases:")
 				for _, ps := range rep.PhaseStats {
@@ -354,9 +300,6 @@ func printText(out *benchOutput) {
 						continue
 					}
 					fmt.Printf(" %s %v (%.0f%%)", ps.Phase, time.Duration(ps.Ns).Round(time.Microsecond), 100*ps.Share)
-					if ps.Allocs > 0 {
-						fmt.Printf(" [%d allocs]", ps.Allocs)
-					}
 				}
 				fmt.Println()
 			}

@@ -88,21 +88,6 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithPhaseProfile annotates the per-phase nanosecond timings every
-// Report carries with heap-allocation counters, sampled from
-// runtime/metrics at each phase boundary. Sampling is cheap but not
-// free, so it is off by default; timings alone are always collected.
-// Every allocator marks its phases on the pipeline's Timer, so the
-// counters cover registered allocators as well as the built-ins. Heap
-// counters are process-global, so per-phase allocation figures are only
-// exact under WithParallelism(1).
-func WithPhaseProfile(on bool) Option {
-	return func(e *Engine) error {
-		e.pipe.ProfileAllocs = on
-		return nil
-	}
-}
-
 // ProcReport is one procedure's slice of a Report.
 type ProcReport struct {
 	Proc    string        `json:"proc"`
@@ -112,10 +97,7 @@ type ProcReport struct {
 
 // Report aggregates one AllocateProgram run: per-procedure statistics in
 // input order, their totals, the per-phase cost breakdown, and the batch
-// wall time. HeapAllocs/HeapBytes are the process's heap-allocation
-// deltas over the batch (approximate: concurrent activity outside the
-// engine is included), the coarse steady-state allocs-per-batch figure
-// the bench suite regresses on.
+// wall time.
 type Report struct {
 	Algorithm   string        `json:"algorithm"`
 	Machine     string        `json:"machine"`
@@ -123,8 +105,6 @@ type Report struct {
 	Procs       []ProcReport  `json:"procs"`
 	Totals      Stats         `json:"totals"`
 	PhaseStats  []PhaseStat   `json:"phase_stats,omitempty"`
-	HeapAllocs  uint64        `json:"heap_allocs"`
-	HeapBytes   uint64        `json:"heap_bytes"`
 	WallTime    time.Duration `json:"wall_time_ns"`
 	// Cached marks a report returned from the result cache by
 	// AllocateCached: the statistics describe the original allocation
@@ -231,7 +211,6 @@ func (e *Engine) AllocateProgram(ctx context.Context, prog *Program) (*Program, 
 		ctx = context.Background()
 	}
 	start := time.Now()
-	heapAllocs0, heapBytes0 := alloc.HeapCounters()
 	procs := prog.Procs
 	results := make([]*Result, len(procs))
 	elapsed := make([]time.Duration, len(procs))
@@ -319,9 +298,6 @@ func (e *Engine) AllocateProgram(ctx context.Context, prog *Program) (*Program, 
 		rep.Totals.Add(res.Stats)
 	}
 	rep.PhaseStats = rep.Totals.Phases.Stats()
-	heapAllocs1, heapBytes1 := alloc.HeapCounters()
-	rep.HeapAllocs = heapAllocs1 - heapAllocs0
-	rep.HeapBytes = heapBytes1 - heapBytes0
 	rep.WallTime = time.Since(start)
 	return out, rep, nil
 }

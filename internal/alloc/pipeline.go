@@ -27,10 +27,6 @@ type Pipeline struct {
 	// ForwardStores runs local store-to-load forwarding on the allocated
 	// code before the peephole pass.
 	ForwardStores bool
-	// ProfileAllocs annotates every phase with heap-allocation counters
-	// (see Timer), the allocator's included: it marks the pipeline's
-	// timer.
-	ProfileAllocs bool
 }
 
 // Scratch is the pooled state of one pipeline worker: the arena each
@@ -87,7 +83,7 @@ func (pl Pipeline) Run(a Allocator, sc *Scratch, p *ir.Proc) (*Result, error) {
 		sc = new(Scratch)
 	}
 	tm := &sc.tm
-	tm.Start(pl.ProfileAllocs)
+	tm.Start()
 	var own Stats // phases the pipeline itself accounts for
 	in, lv := Prepare(p, sc, &own)
 	res, err := a.Allocate(in, lv, tm)

@@ -33,7 +33,7 @@ func headlineMetrics(metrics []MetricInfo) []string {
 			names = append(names, mi.Name)
 		}
 	}
-	return append(names, "alloc.total.wall_ns", "alloc.total.heap_allocs", "rusage.max_rss_bytes")
+	return append(names, "alloc.total.wall_ns", "rusage.max_rss_bytes")
 }
 
 // RenderDashboard writes the dashboard for the server's store; it is
@@ -145,8 +145,8 @@ func (s *Server) statTile(name string, pts []Point) string {
 
 // deltaSpan renders a relative change with direction-aware good/bad
 // coloring: lower is better for every cost metric (ns, bytes, allocs,
-// spill); higher is better for speedups, hit rates, throughputs (per_s,
-// per_sec) and eligible quality points.
+// spill); higher is better for throughputs (per_s) and eligible quality
+// points.
 func deltaSpan(metric string, from, to float64) string {
 	if from == to {
 		return `<span class="sub">±0%</span>`
@@ -162,8 +162,8 @@ func deltaSpan(metric string, from, to float64) string {
 	if up {
 		glyph = "▲"
 	}
-	higherIsBetter := false // "per_s" also matches per_sec
-	for _, s := range []string{"speedup", "hit_rate", "per_s", "eligible"} {
+	higherIsBetter := false
+	for _, s := range []string{"per_s", "eligible"} {
 		higherIsBetter = higherIsBetter || strings.Contains(metric, s)
 	}
 	class := "bad"
@@ -239,16 +239,16 @@ func sparkline(metric string, pts []Point, regs []Regression) string {
 }
 
 // metricGroup is one dashboard section: the metrics sharing a first
-// dot-segment (or the flat serve_* family).
+// dot-segment.
 type metricGroup struct {
 	title   string
 	metrics []string
 }
 
 // groupOrder pins the narrative: the benchmark's end-to-end numbers,
-// then the stored serving headline, then where time goes, then what it
-// costs, then what the code quality is.
-var groupOrder = []string{"bench", "serve", "phase", "alloc", "rusage", "gc", "quality", "sweep"}
+// then where time goes, then what it costs, then what the code quality
+// is.
+var groupOrder = []string{"bench", "phase", "alloc", "rusage", "gc", "quality", "sweep"}
 
 func groupMetrics(metrics []MetricInfo) []metricGroup {
 	byKey := map[string][]string{}
@@ -256,8 +256,6 @@ func groupMetrics(metrics []MetricInfo) []metricGroup {
 		key := mi.Name
 		if i := strings.IndexByte(key, '.'); i >= 0 {
 			key = key[:i]
-		} else if strings.HasPrefix(key, "serve_") {
-			key = "serve"
 		}
 		byKey[key] = append(byKey[key], mi.Name)
 	}

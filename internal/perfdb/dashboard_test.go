@@ -5,22 +5,20 @@ import (
 	"testing"
 )
 
-// TestDeltaSpanDirection pins which way is good: a rise in a throughput,
-// speedup, hit rate or eligible-point count is good, a rise in a cost
-// is bad.
+// TestDeltaSpanDirection pins which way is good: a rise in a throughput
+// or eligible-point count is good, a rise in a cost is bad.
 func TestDeltaSpanDirection(t *testing.T) {
 	for _, tc := range []struct {
 		metric         string
 		higherIsBetter bool
 	}{
-		{"corpus_decode_programs_per_sec_100k", true},
-		{"corpus_decode_mb_per_sec_100k", true},
 		{"quality_points_eligible", true},
 		{"bench.suite-verified.programs_per_s", true},
 		{"bench.corpus-batch.programs_per_s", true},
-		{"serve_speedup", true},
-		{"serve_cache_hit_rate", true},
 		{"bench.serve-hotcold.latency_p99_us", false},
+		{"phase.scan.ns", false},
+		{"quality_gap_binpack", false},
+		{"rusage.gc.heap_alloc_bytes", false},
 	} {
 		want := `class="bad"`
 		if tc.higherIsBetter {
@@ -40,7 +38,7 @@ func TestFmtValueUnits(t *testing.T) {
 	}{
 		{"bench.serve-hotcold.latency_p50_us", 1500, "1.50 ms"},
 		{"bench.suite-verified.latency_p99_us", 850, "850.0 µs"},
-		{"serve_cold_ns", 2.5e6, "2.50 ms"},
+		{"alloc.wc.wall_ns", 2.5e6, "2.50 ms"},
 		{"rusage.max_rss_bytes", 3 << 20, "3.0 MiB"},
 		{"bench.corpus-batch.failed", 3, "3"},
 	} {

@@ -10,9 +10,10 @@ import (
 // document. It deliberately redeclares only the fields the observatory
 // flattens into series (cmd/lsra-bench owns the full write-side shape);
 // unknown fields are ignored, so the two can evolve independently as
-// long as names stay stable. Sections lsra-bench no longer writes
-// (serve, corpus.alloc, corpus.serve_duel, cluster) stay declared so
-// stored BENCH files keep their series.
+// long as names stay stable. Sections no current run writes (serve,
+// corpus, cluster, the engine's sampled heap counters) are not
+// declared: the committed BENCH files still carry them as documents,
+// but they yield no series.
 type benchDoc struct {
 	Meta      *Meta      `json:"meta"`
 	Resources *Resources `json:"resources"`
@@ -38,41 +39,12 @@ type benchDoc struct {
 				SpilledTemps int64
 			} `json:"totals"`
 			PhaseStats []struct {
-				Phase  string `json:"phase"`
-				Ns     int64  `json:"ns"`
-				Allocs uint64 `json:"allocs"`
+				Phase string `json:"phase"`
+				Ns    int64  `json:"ns"`
 			} `json:"phase_stats"`
-			HeapAllocs uint64 `json:"heap_allocs"`
-			HeapBytes  uint64 `json:"heap_bytes"`
-			WallTimeNs int64  `json:"wall_time_ns"`
+			WallTimeNs int64 `json:"wall_time_ns"`
 		} `json:"report"`
 	} `json:"allocation"`
-	Serve *struct {
-		ColdNsPerProgram int64   `json:"cold_ns_per_program"`
-		WarmNsPerProgram int64   `json:"warm_ns_per_program"`
-		Speedup          float64 `json:"speedup"`
-		CacheHitRate     float64 `json:"cache_hit_rate"`
-	} `json:"serve"`
-	Corpus *struct {
-		CorpusPrograms int `json:"corpus_programs"`
-		Shards         int `json:"shards"`
-		Rungs          []struct {
-			Programs         int     `json:"programs"`
-			ProgramsPerSec   float64 `json:"programs_per_sec"`
-			MBPerSec         float64 `json:"mb_per_sec"`
-			AllocsPerProgram float64 `json:"allocs_per_program"`
-		} `json:"rungs"`
-		Alloc *struct {
-			Workers      int     `json:"workers"`
-			NsPerProgram int64   `json:"ns_per_program"`
-			DecodeShare  float64 `json:"decode_share"`
-		} `json:"alloc"`
-		ServeDuel *struct {
-			ColdTextNsPerProgram   int64   `json:"cold_text_ns_per_program"`
-			ColdBinaryNsPerProgram int64   `json:"cold_binary_ns_per_program"`
-			Speedup                float64 `json:"speedup"`
-		} `json:"serve_duel"`
-	} `json:"corpus"`
 	Quality *struct {
 		Points     int `json:"points"`
 		Eligible   int `json:"eligible"`
@@ -84,21 +56,6 @@ type benchDoc struct {
 			SpillOps   int64   `json:"spill_ops"`
 		} `json:"summary"`
 	} `json:"quality"`
-	Cluster *struct {
-		ColdNsPerRequest    int64   `json:"cold_ns_per_request"`
-		WarmNsPerRequest    int64   `json:"warm_ns_per_request"`
-		BinaryNsPerRequest  int64   `json:"binary_ns_per_request"`
-		JSONNsPerRequest    int64   `json:"json_ns_per_request"`
-		BinarySpeedup       float64 `json:"binary_speedup"`
-		WarmHitRate         float64 `json:"warm_hit_rate"`
-		UnhedgedP99Ns       int64   `json:"unhedged_p99_ns"`
-		HedgedP99Ns         int64   `json:"hedged_p99_ns"`
-		HedgeWins           uint64  `json:"hedge_wins"`
-		TailSpeedupP99      float64 `json:"tail_speedup_p99"`
-		PersistAdmitted     uint64  `json:"persist_admitted"`
-		PersistRejectedCost uint64  `json:"persist_rejected_cost"`
-		RestartWarmHitRate  float64 `json:"restart_warm_hit_rate"`
-	} `json:"cluster"`
 	// Benchmark is the repository benchmark's own output, merged into
 	// the stamped document by CI: {"seed", "seconds", "workloads":
 	// {name: last JSON line of benchmark/run.sh}}. Only the result
@@ -147,25 +104,21 @@ func Extract(data []byte, fallback Meta) (*Record, error) {
 		put("sweep."+p.Machine+"."+p.Allocator+".spill_pct", p.SpillPct)
 	}
 
-	// Speed: per-benchmark engine reports, with per-phase ns/allocs
+	// Speed: per-benchmark engine reports, with per-phase ns
 	// accumulated across the suite, plus per-benchmark resource deltas.
 	phaseNs := map[string]float64{}
-	phaseAllocs := map[string]float64{}
-	var totalWall, totalAllocs, totalSpilled float64
+	var totalWall, totalSpilled float64
 	for _, a := range doc.Allocation {
 		if a.Report == nil {
 			continue
 		}
 		b := a.Benchmark
 		put("alloc."+b+".wall_ns", float64(a.Report.WallTimeNs))
-		put("alloc."+b+".heap_allocs", float64(a.Report.HeapAllocs))
 		put("alloc."+b+".spilled", float64(a.Report.Totals.SpilledTemps))
 		totalWall += float64(a.Report.WallTimeNs)
-		totalAllocs += float64(a.Report.HeapAllocs)
 		totalSpilled += float64(a.Report.Totals.SpilledTemps)
 		for _, ps := range a.Report.PhaseStats {
 			phaseNs[ps.Phase] += float64(ps.Ns)
-			phaseAllocs[ps.Phase] += float64(ps.Allocs)
 		}
 		if a.Resources != nil {
 			putResources(put, "alloc."+b+".", a.Resources)
@@ -173,16 +126,10 @@ func Extract(data []byte, fallback Meta) (*Record, error) {
 	}
 	if len(doc.Allocation) > 0 {
 		put("alloc.total.wall_ns", totalWall)
-		put("alloc.total.heap_allocs", totalAllocs)
 		put("alloc.total.spilled", totalSpilled)
 	}
 	for phase, ns := range phaseNs {
 		put("phase."+phase+".ns", ns)
-	}
-	for phase, n := range phaseAllocs {
-		if n > 0 {
-			put("phase."+phase+".allocs", n)
-		}
 	}
 
 	// Repository benchmark: each workload's end-to-end metrics as
@@ -197,49 +144,6 @@ func Extract(data []byte, fallback Meta) (*Record, error) {
 				put("bench."+w+"."+m, v.Value)
 			}
 			put("bench."+w+".failed", float64(res.Failed))
-		}
-	}
-
-	// Serving: the content-addressed cache headline of the deleted
-	// `lsra-bench -serve`, read from stored documents (BENCH_5 onward).
-	if s := doc.Serve; s != nil {
-		put("serve_cold_ns", float64(s.ColdNsPerProgram))
-		put("serve_warm_ns", float64(s.WarmNsPerProgram))
-		put("serve_speedup", s.Speedup)
-		put("serve_cache_hit_rate", s.CacheHitRate)
-	}
-
-	// Binary-codec corpus ladder: decode-only throughput per rung (keyed
-	// by a compact rung name — 100000 → "100k", 1000000 → "1m"; these
-	// are decode rates, not allocation rates). The decode+allocate rate
-	// and the cold-serve wire-format duel are no longer written; stored
-	// documents (BENCH_8, BENCH_16) still carry them.
-	if c := doc.Corpus; c != nil {
-		for _, r := range c.Rungs {
-			name := rungName(r.Programs)
-			put("corpus_decode_programs_per_sec_"+name, r.ProgramsPerSec)
-			put("corpus_decode_mb_per_sec_"+name, r.MBPerSec)
-			put("corpus_decode_allocs_per_program_"+name, r.AllocsPerProgram)
-		}
-		if a := c.Alloc; a != nil {
-			// Documents with alloc.workers time the shard-per-worker
-			// loop: wall ns over W engines, a series of its own. Older
-			// ones timed one serial engine and keep corpus_alloc_ns.
-			if a.Workers > 0 {
-				put("corpus_alloc_wall_ns", float64(a.NsPerProgram))
-				put("corpus_alloc_workers", float64(a.Workers))
-			} else {
-				put("corpus_alloc_ns", float64(a.NsPerProgram))
-			}
-			put("corpus_decode_share", a.DecodeShare)
-		}
-		if d := c.ServeDuel; d != nil {
-			put("serve_cold_text_ns", float64(d.ColdTextNsPerProgram))
-			put("serve_cold_binary_ns", float64(d.ColdBinaryNsPerProgram))
-			put("serve_binary_speedup", d.Speedup)
-		}
-		if c.Shards > 0 {
-			put("corpus_shard_count", float64(c.Shards))
 		}
 	}
 
@@ -259,30 +163,6 @@ func Extract(data []byte, fallback Meta) (*Record, error) {
 		}
 	}
 
-	// Sharded cluster: routing/caching steady state, the hedged-request
-	// tail, and the persistent tier's admission + restart behavior. The
-	// fleet and lsra-bench -cluster are gone; stored documents
-	// (BENCH_7, BENCH_8, BENCH_16) still carry the section, and
-	// backfilling them keeps these series readable.
-	if cs := doc.Cluster; cs != nil {
-		put("cluster_cold_ns", float64(cs.ColdNsPerRequest))
-		put("cluster_warm_ns", float64(cs.WarmNsPerRequest))
-		put("cluster_warm_hit_rate", cs.WarmHitRate)
-		put("cluster_unhedged_p99_ns", float64(cs.UnhedgedP99Ns))
-		put("cluster_hedged_p99_ns", float64(cs.HedgedP99Ns))
-		put("cluster_hedge_wins", float64(cs.HedgeWins))
-		put("cluster_tail_speedup_p99", cs.TailSpeedupP99)
-		put("cluster_persist_admitted", float64(cs.PersistAdmitted))
-		put("cluster_persist_rejected_cost", float64(cs.PersistRejectedCost))
-		put("cluster_restart_warm_hit_rate", cs.RestartWarmHitRate)
-		// Binary wire-form duel (absent in documents that predate it).
-		if cs.BinaryNsPerRequest > 0 {
-			put("cluster_binary_ns", float64(cs.BinaryNsPerRequest))
-			put("cluster_json_ns", float64(cs.JSONNsPerRequest))
-			put("cluster_binary_speedup", cs.BinarySpeedup)
-		}
-	}
-
 	// Process-wide resource attribution (v1 records only).
 	if doc.Resources != nil {
 		putResources(put, "rusage.", doc.Resources)
@@ -292,19 +172,6 @@ func Extract(data []byte, fallback Meta) (*Record, error) {
 		return nil, fmt.Errorf("perfdb: bench document contains no extractable series")
 	}
 	return rec, nil
-}
-
-// rungName compresses a rung size into the series-key suffix: whole
-// millions as "<n>m", whole thousands as "<n>k", anything else verbatim.
-func rungName(n int) string {
-	switch {
-	case n >= 1_000_000 && n%1_000_000 == 0:
-		return fmt.Sprintf("%dm", n/1_000_000)
-	case n >= 1_000 && n%1_000 == 0:
-		return fmt.Sprintf("%dk", n/1_000)
-	default:
-		return fmt.Sprintf("%d", n)
-	}
 }
 
 // putResources flattens a Resources snapshot under a series prefix; the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -40,43 +41,11 @@ func stampedDoc(t *testing.T, commit string, at time.Time, programsPerS, scanNs 
 			"resources": Resources{MaxRSSBytes: 32 << 20, UserCPUNs: 5e6, SysCPUNs: 1e6, GCCycles: 2, GCCPUNs: 1e5, HeapAllocBytes: 4096},
 			"report": map[string]any{
 				"totals":       map[string]any{"SpilledTemps": 3},
-				"phase_stats":  []map[string]any{{"phase": "scan", "ns": scanNs, "allocs": 7}},
-				"heap_allocs":  358,
+				"phase_stats":  []map[string]any{{"phase": "scan", "ns": scanNs}},
 				"wall_time_ns": 236367,
 			},
 		}},
 		"benchmark": benchmarkSection(map[string]string{"serve-hotcold": line}),
-		"serve": map[string]any{
-			"cold_ns_per_program": 2.9e6,
-			"warm_ns_per_program": 1.45e6,
-			"speedup":             2.0,
-			"cache_hit_rate":      0.99,
-		},
-		"corpus": map[string]any{
-			"corpus_programs": 20000,
-			"shards":          16,
-			"rungs": []map[string]any{
-				{"programs": 100000, "programs_per_sec": 51000.0, "mb_per_sec": 142.0, "allocs_per_program": 0.0},
-				{"programs": 1000000, "programs_per_sec": 52000.0, "mb_per_sec": 145.0, "allocs_per_program": 0.0},
-			},
-			"alloc":      map[string]any{"workers": 4, "ns_per_program": 1.9e6, "decode_share": 0.011},
-			"serve_duel": map[string]any{"cold_text_ns_per_program": 2.4e6, "cold_binary_ns_per_program": 1.6e6, "speedup": 1.5},
-		},
-		"cluster": map[string]any{
-			"cold_ns_per_request":   3.1e6,
-			"warm_ns_per_request":   1.6e6,
-			"warm_hit_rate":         1.0,
-			"unhedged_p99_ns":       2.9e7,
-			"hedged_p99_ns":         1.1e7,
-			"hedge_wins":            12,
-			"tail_speedup_p99":      2.6,
-			"persist_admitted":      6,
-			"persist_rejected_cost": 10,
-			"restart_warm_hit_rate": 1.0,
-			"binary_ns_per_request": 1.2e6,
-			"json_ns_per_request":   1.5e6,
-			"binary_speedup":        1.25,
-		},
 		"quality": map[string]any{
 			"points":     168,
 			"eligible":   49,
@@ -106,89 +75,33 @@ func TestExtractStampedDocument(t *testing.T) {
 		t.Fatalf("meta = %+v", rec.Meta)
 	}
 	want := map[string]float64{
-		"bench.serve-hotcold.programs_per_s":  866.2,
-		"bench.serve-hotcold.latency_p50_us":  2287.175,
-		"bench.serve-hotcold.failed":          0,
-		"serve_cold_ns":                       2.9e6,
-		"serve_warm_ns":                       1.45e6,
-		"serve_speedup":                       2.0,
-		"serve_cache_hit_rate":                0.99,
-		"corpus_decode_programs_per_sec_100k": 51000,
-		"corpus_decode_mb_per_sec_100k":       142,
-		"corpus_decode_allocs_per_program_1m": 0,
-		"corpus_decode_programs_per_sec_1m":   52000,
-		"corpus_alloc_wall_ns":                1.9e6,
-		"corpus_alloc_workers":                4,
-		"corpus_decode_share":                 0.011,
-		"corpus_shard_count":                  16,
-		"serve_cold_text_ns":                  2.4e6,
-		"serve_cold_binary_ns":                1.6e6,
-		"serve_binary_speedup":                1.5,
-		"cluster_cold_ns":                     3.1e6,
-		"cluster_warm_ns":                     1.6e6,
-		"cluster_warm_hit_rate":               1.0,
-		"cluster_unhedged_p99_ns":             2.9e7,
-		"cluster_hedged_p99_ns":               1.1e7,
-		"cluster_hedge_wins":                  12,
-		"cluster_tail_speedup_p99":            2.6,
-		"cluster_persist_admitted":            6,
-		"cluster_persist_rejected_cost":       10,
-		"cluster_restart_warm_hit_rate":       1.0,
-		"cluster_binary_ns":                   1.2e6,
-		"cluster_json_ns":                     1.5e6,
-		"cluster_binary_speedup":              1.25,
-		"quality_points_total":                168,
-		"quality_points_eligible":             49,
-		"quality_envelope_violations":         0,
-		"quality_gap_binpack":                 2.602,
-		"quality_gap_max_binpack":             632,
-		"quality_spill_ops_binpack":           95752,
-		"quality_gap_oracle":                  1.0,
-		"quality_gap_max_oracle":              1.0,
-		"quality_spill_ops_oracle":            34414,
-		"phase.scan.ns":                       49000,
-		"phase.scan.allocs":                   7,
-		"alloc.wc.wall_ns":                    236367,
-		"alloc.wc.heap_allocs":                358,
-		"alloc.wc.spilled":                    3,
-		"alloc.wc.max_rss_bytes":              32 << 20,
-		"alloc.wc.user_cpu_ns":                5e6,
-		"alloc.total.wall_ns":                 236367,
-		"rusage.max_rss_bytes":                64 << 20,
-		"rusage.user_cpu_ns":                  9e6,
-		"rusage.sys_cpu_ns":                   2e6,
-		"rusage.gc.cycles":                    5,
-		"rusage.gc.heap_alloc_bytes":          1 << 20,
+		"bench.serve-hotcold.programs_per_s": 866.2,
+		"bench.serve-hotcold.latency_p50_us": 2287.175,
+		"bench.serve-hotcold.failed":         0,
+		"quality_points_total":               168,
+		"quality_points_eligible":            49,
+		"quality_envelope_violations":        0,
+		"quality_gap_binpack":                2.602,
+		"quality_gap_max_binpack":            632,
+		"quality_spill_ops_binpack":          95752,
+		"quality_gap_oracle":                 1.0,
+		"quality_gap_max_oracle":             1.0,
+		"quality_spill_ops_oracle":           34414,
+		"phase.scan.ns":                      49000,
+		"alloc.wc.wall_ns":                   236367,
+		"alloc.wc.spilled":                   3,
+		"alloc.wc.max_rss_bytes":             32 << 20,
+		"alloc.wc.user_cpu_ns":               5e6,
+		"alloc.total.wall_ns":                236367,
+		"rusage.max_rss_bytes":               64 << 20,
+		"rusage.user_cpu_ns":                 9e6,
+		"rusage.sys_cpu_ns":                  2e6,
+		"rusage.gc.cycles":                   5,
+		"rusage.gc.heap_alloc_bytes":         1 << 20,
 	}
 	for name, v := range want {
 		if got, ok := rec.Series[name]; !ok || got != v {
 			t.Errorf("series[%q] = %v (present=%v), want %v", name, got, ok, v)
-		}
-	}
-	if _, ok := rec.Series["corpus_alloc_ns"]; ok {
-		t.Error("multi-worker decode+allocate landed in the serial corpus_alloc_ns series")
-	}
-}
-
-// TestExtractSerialCorpusAlloc pins the split between the two
-// decode+allocate series: BENCH_8.json predates alloc.workers (it timed
-// one serial engine), so it keeps corpus_alloc_ns and never lands on
-// the wall-time series of the shard-per-worker loop.
-func TestExtractSerialCorpusAlloc(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_8.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Extract(data, Meta{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.Series["corpus_alloc_ns"]; got != 1775654 {
-		t.Errorf("corpus_alloc_ns = %v, want 1775654", got)
-	}
-	for _, name := range []string{"corpus_alloc_wall_ns", "corpus_alloc_workers"} {
-		if _, ok := rec.Series[name]; ok {
-			t.Errorf("serial document produced %q", name)
 		}
 	}
 }
@@ -291,50 +204,56 @@ func TestExtractRejectsEmptyAndGarbage(t *testing.T) {
 	}
 }
 
-// TestExtractCommittedBenchFiles pins the read side of every section the
-// committed BENCH files carry, including the ones lsra-bench no longer
-// writes (-serve, the -corpus serve duel and decode+allocate loop, the
-// fleet's cluster section): backfilling the six files must keep yielding
-// the same series, file by file and in total.
+// TestExtractCommittedBenchFiles backfills every committed BENCH file:
+// each keeps yielding its series, and none yields a series of the
+// sections no current run writes (serve, corpus, cluster) or of the
+// engine's sampled heap counters (alloc.*.heap_allocs, phase.*.allocs).
 func TestExtractCommittedBenchFiles(t *testing.T) {
-	files := []struct {
-		name   string
-		series int
-	}{
-		{"BENCH_2.json", 77},
-		{"BENCH_5.json", 113},
-		{"BENCH_6.json", 185},
-		{"BENCH_7.json", 203},
-		{"BENCH_8.json", 216},
-		{"BENCH_16.json", 226},
+	want := map[string]int{
+		"BENCH_2.json":  65,
+		"BENCH_5.json":  97,
+		"BENCH_6.json":  169,
+		"BENCH_7.json":  169,
+		"BENCH_8.json":  169,
+		"BENCH_16.json": 187,
+		"BENCH_22.json": 235,
+		"BENCH_23.json": 235,
+		"BENCH_26.json": 235,
+		"BENCH_27.json": 235,
+	}
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != len(want) {
+		t.Errorf("%d committed BENCH files, want %d: %v", len(paths), len(want), paths)
 	}
 	names := map[string]bool{}
-	for _, f := range files {
-		data, err := os.ReadFile("../../" + f.name)
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		base := filepath.Base(path)
 		rec, err := Extract(data, Meta{})
 		if err != nil {
-			t.Fatalf("%s: %v", f.name, err)
+			t.Fatalf("%s: %v", base, err)
 		}
-		if len(rec.Series) != f.series {
-			t.Errorf("%s: %d series, want %d", f.name, len(rec.Series), f.series)
+		if n, ok := want[base]; !ok || len(rec.Series) != n {
+			t.Errorf("%s: %d series, want %d", base, len(rec.Series), n)
 		}
 		for name := range rec.Series {
 			names[name] = true
 		}
 	}
-	if len(names) != 241 {
-		t.Errorf("%d distinct series names, want 241", len(names))
+	if len(names) != 235 {
+		t.Errorf("%d distinct series names, want 235", len(names))
 	}
-	for _, name := range []string{
-		"serve_cold_ns", "serve_warm_ns", "serve_speedup", "serve_cache_hit_rate",
-		"serve_cold_text_ns", "serve_cold_binary_ns", "serve_binary_speedup",
-		"corpus_alloc_ns", "corpus_alloc_wall_ns", "corpus_alloc_workers", "corpus_decode_share",
-	} {
-		if !names[name] {
-			t.Errorf("no committed BENCH file yields %q", name)
+	for name := range names {
+		phaseAllocs := strings.HasPrefix(name, "phase.") && strings.HasSuffix(name, ".allocs")
+		flat := strings.HasPrefix(name, "serve_") || strings.HasPrefix(name, "corpus_") || strings.HasPrefix(name, "cluster_")
+		if phaseAllocs || flat || strings.HasSuffix(name, ".heap_allocs") {
+			t.Errorf("committed BENCH files yield %q, a series no current run writes", name)
 		}
 	}
 }

@@ -16,9 +16,8 @@
 // phase.scan.ns, alloc.fpppp.wall_ns, rusage.max_rss_bytes, ...), so a
 // slow regression spread across several PRs shows up as a trend, and
 // changepoint flagging (internal/perfdb/stats, the same Mann-Whitney
-// machinery as cmd/benchguard) marks where a regime shifted. Sections
-// lsra-bench no longer writes (serve, the corpus decode+allocate loop
-// and serve duel, cluster) are still read from stored documents.
+// machinery as cmd/benchguard) marks where a regime shifted. perfdb
+// reads only the sections a current run writes.
 package perfdb
 
 import (
@@ -71,9 +70,8 @@ type Record struct {
 	Source string `json:"source,omitempty"`
 	// Series maps metric name to value. Names are dot-paths grouping
 	// related metrics (bench.corpus-batch.programs_per_s, phase.scan.ns,
-	// alloc.fpppp.wall_ns, quality.eqntott.instr_ratio); the older
-	// families keep their historical flat names (serve_cold_ns,
-	// corpus_decode_programs_per_sec_100k).
+	// alloc.fpppp.wall_ns, quality.eqntott.instr_ratio); the quality
+	// frontier keeps its historical flat names (quality_gap_binpack).
 	Series map[string]float64 `json:"series"`
 }
 

@@ -128,14 +128,14 @@ func TestServerIngestQueryDashboard(t *testing.T) {
 		"lsra perf observatory", "2 runs",
 		`<div class="label">bench.serve-hotcold.programs_per_s</div><div class="value">866</div><div class="delta"><span class="good">▲ +4.8%</span>`,
 		"<h2>bench</h2>", "bench.serve-hotcold.latency_p50_us", "2.29 ms",
-		"serve_cold_ns", "phase.scan.ns",
+		"quality_gap_binpack", "phase.scan.ns",
 		"rusage.max_rss_bytes", `<svg class="spark"`, "<polyline", "<title>",
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("dashboard missing %q", want)
 		}
 	}
-	if i, j := strings.Index(page, "<h2>bench</h2>"), strings.Index(page, "<h2>serve</h2>"); i < 0 || i > j {
+	if i, j := strings.Index(page, "<h2>bench</h2>"), strings.Index(page, "<h2>phase</h2>"); i < 0 || i > j {
 		t.Error("the benchmark's group does not open the per-group tables")
 	}
 	if strings.Contains(page, "<script") {
@@ -194,7 +194,7 @@ func TestServerFlagsRegression(t *testing.T) {
 // a meta stamp is accepted with arrival-time identity.
 func TestServerIngestUnstamped(t *testing.T) {
 	ts, store := newTestServer(t)
-	doc := `{"serve":{"cold_ns_per_program":1000,"warm_ns_per_program":500,"speedup":2,"cache_hit_rate":1}}`
+	doc := `{"table1":[{"Benchmark":"wc","InstrRatio":1.01}]}`
 	resp, err := http.Post(ts.URL+"/ingest?source=adhoc", "application/json", strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)

@@ -46,6 +46,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -778,9 +779,15 @@ func (s *Server) Metrics() Metrics {
 	pt := s.phases
 	s.phaseMu.Unlock()
 	m.Phases = pt.Stats()
-	allocs, bytes := alloc.HeapCounters()
-	m.Heap = HeapMetrics{Allocs: allocs, Bytes: bytes}
+	m.Heap = readHeap()
 	return m
+}
+
+// readHeap reads the process's cumulative heap-allocation counters.
+func readHeap() HeapMetrics {
+	s := [2]metrics.Sample{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s[:])
+	return HeapMetrics{Allocs: s[0].Value.Uint64(), Bytes: s[1].Value.Uint64()}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

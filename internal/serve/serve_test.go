@@ -217,6 +217,11 @@ func TestCacheHitLoadTest(t *testing.T) {
 	if s.Cache().Stats().Entries != 1 {
 		t.Errorf("cache entries = %d, want 1", s.Cache().Stats().Entries)
 	}
+	// The heap section counts the whole process, so the hit traffic
+	// moves it although no phase ran.
+	if m2.Heap.Allocs <= m1.Heap.Allocs || m2.Heap.Bytes <= m1.Heap.Bytes {
+		t.Errorf("heap counters did not grow with the hits: %+v -> %+v", m1.Heap, m2.Heap)
+	}
 }
 
 func TestMixedWorkload(t *testing.T) {

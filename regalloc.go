@@ -87,12 +87,10 @@ type (
 	Result = alloc.Result
 	// Stats describes what an allocation did.
 	Stats = alloc.Stats
-	// PhaseTimes breaks a pipeline run's cost down by phase; Stats
-	// carries one and Report.PhaseStats aggregates them per batch.
+	// PhaseTimes is a pipeline run's wall time per phase, in
+	// nanoseconds; Stats carries one and Report.PhaseStats aggregates
+	// them per batch.
 	PhaseTimes = alloc.PhaseTimes
-	// PhaseSample is one phase's accumulated wall time and (under
-	// WithPhaseProfile) heap-allocation counters.
-	PhaseSample = alloc.PhaseSample
 	// PhaseStat is one phase's row of Report.PhaseStats.
 	PhaseStat = alloc.PhaseStat
 	// Allocator is the one allocator contract: Allocate rewrites a

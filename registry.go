@@ -15,7 +15,7 @@ import "repro/internal/alloc"
 // timer, on which the allocator marks the phases it runs (the span it
 // leaves unmarked counts as the scan phase; a nil tm marks nothing). A
 // wrapper that forwards all three to a built-in runs exactly the path
-// the built-in runs, phase profile included.
+// the built-in runs, phase timings included.
 //
 // The built-in allocators self-register as "binpack" (the paper's
 // second-chance binpacking), "twopass", "coloring", "linearscan" and
